@@ -4,20 +4,14 @@
 Runs ``scripts/run_experiments.py`` four times against scratch cache
 directories and asserts the resilience layer's headline guarantees:
 
-1. **baseline** — a fault-free cold sweep records the reference report
-   (object engine).
+1. **baseline** — a fault-free cold sweep records the reference report.
 2. **chaos cold** — the same sweep under deterministic fault injection
    (default: 20 % worker crashes, 10 % hangs killed by the ``--timeout``
-   watchdog, 25 % corrupted cache writes), run with ``--backend flat``,
-   must complete unattended with a bit-identical report, and its
-   provenance must show faults were actually handled
-   (retries/timeouts/pool restarts > 0).  Matching the object-engine
-   baseline byte-for-byte also proves the flat engine's bit-identity
-   under faults.
+   watchdog, 25 % corrupted cache writes) must complete unattended with
+   a bit-identical report, and its provenance must show faults were
+   actually handled (retries/timeouts/pool restarts > 0).
 3. **chaos warm** — rerunning on the chaos cache with injection off
-   (and the default object engine) must quarantine the corrupt entries,
-   recompute only those points — served alongside the flat engine's
-   surviving entries, exercising the shared cross-backend cache slot —
+   must quarantine the corrupt entries, recompute only those points,
    match the reference report again, and leave a cache with zero
    corrupt entries.
 4. **SIGKILL resume** — a fresh sweep is SIGKILLed mid-flight; the rerun
@@ -165,10 +159,7 @@ def main(argv=None) -> int:
         run_sweep(args, baseline_cache, baseline_report)
         reference = canonical_report(baseline_report)
 
-        print(
-            "\n== phase 2: cold sweep under fault injection "
-            "(flat engine) =="
-        )
+        print("\n== phase 2: cold sweep under fault injection ==")
         plan = FaultPlan(
             seed=args.seed,
             crash_fraction=args.crash,
@@ -181,7 +172,7 @@ def main(argv=None) -> int:
         bench = run_sweep(
             args, chaos_cache, chaos_report,
             env=chaos_env,
-            extra=("--timeout", repr(args.timeout), "--backend", "flat"),
+            extra=("--timeout", repr(args.timeout)),
         )
         stats = bench["runner"]
         handled = (
@@ -194,8 +185,7 @@ def main(argv=None) -> int:
         )
         check(
             canonical_report(chaos_report) == reference,
-            "chaos flat-engine report is bit-identical to the fault-free "
-            "object-engine report",
+            "chaos report is bit-identical to the fault-free report",
             failures,
         )
         check(

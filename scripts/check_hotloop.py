@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Timing-regression guard for the simulator hot loop.
 
-Guards three timing curves pinned in ``results/hotloop_baseline.json``:
+Guards two timing curves pinned in ``results/hotloop_baseline.json``:
 
 1. The detailed-model hot loop (protocol in
    :func:`run_experiments.measure_hot_loop`): fails when the
@@ -20,18 +20,6 @@ Guards three timing curves pinned in ``results/hotloop_baseline.json``:
    ``os.cpu_count()`` differs from the baseline's ``cpu_count``, the
    sharded curve's latency check is skipped with a notice (the serial
    curve and the bit-identity check still run).
-3. The flat-backend latency curve (protocol in
-   :func:`run_experiments.measure_flat_backend`): re-times the
-   hot-loop reference point under ``backend="flat"`` and
-   ``backend="object"`` and fails when the drift-normalized flat
-   latency regresses more than ``--max-regression`` past its recorded
-   baseline — or, regardless of any tolerance, when the two engines
-   stop hashing bit-identically (a correctness bug in the flat
-   engine, not drift).  The drift-normalized speedup over the
-   pre-PR-2 hot-loop floor is reported against the recorded
-   ``target_speedup_vs_prepr2`` (≥5x for the compiled kernel); the
-   pure-Python kernel lands below the target and is tracked, not
-   gated, against it.
 
 The guard also fails when the run's cycle count drifts from the
 baseline: a changed cycle count means the detailed model's semantics
@@ -59,7 +47,6 @@ from run_experiments import (  # noqa: E402  (scripts/ is not a package)
     CACHE_DIR,
     HOTLOOP_BASELINE,
     Runner,
-    measure_flat_backend,
     measure_hot_loop,
     measure_sampled_point,
 )
@@ -136,85 +123,6 @@ def check_sampled_point(runner, baseline, max_regression: float) -> int:
     return status
 
 
-def check_flat_backend(
-    runner, baseline, max_regression: float, allow_drift: bool
-) -> int:
-    """Guard the third curve: flat-engine latency and bit-identity.
-
-    Returns the exit status contribution: 0 when within budget, 1 on a
-    regression, a cross-engine bit-identity break, or unallowed cycle
-    drift, 2 when the measurement could not run.
-    """
-    if "flat_backend" not in baseline:
-        print(
-            "error: baseline has no flat_backend record.\n"
-            "The guard compares the flat-engine latency of the hot-loop "
-            "reference point against a recorded timing; restore "
-            "results/hotloop_baseline.json from version control or "
-            "re-record it per the protocol in "
-            "run_experiments.measure_flat_backend."
-        )
-        return 2
-
-    record = measure_flat_backend(runner)
-    if record is None:
-        print("flat-backend measurement failed to run")
-        return 2
-
-    if not record["identical"]:
-        print(
-            "flat backend: BIT-IDENTITY BROKEN — the flat and object "
-            "engines no longer hash to the same result. This is a "
-            "correctness bug in the flat engine, not a timing drift; "
-            "no tolerance applies."
-        )
-        return 1
-
-    if record.get("speedup_vs_prepr2") is None:
-        print(f"flat backend: cycle drift: {record.get('note', 'unknown')}")
-        if allow_drift:
-            print("--allow-drift given; skipping the timing comparison")
-            return 0
-        print(
-            "the detailed model changed semantics; re-record "
-            f"{os.path.relpath(HOTLOOP_BASELINE)} if this is intentional"
-        )
-        return 1
-
-    factor = record["machine_factor"]
-    budget = record["baseline_flat_seconds"] * factor
-    ceiling = budget * (1.0 + max_regression)
-    measured = record["flat_seconds"]
-    verdict = "OK" if measured <= ceiling else "REGRESSION"
-    kernel = "compiled" if record["compiled"] else "pure-python"
-    print(
-        f"flat backend [{kernel}]: {budget:.3f} s baseline -> "
-        f"{measured:.3f} s now (ceiling {ceiling:.3f}, "
-        f"machine drift x{factor:.3f}) [{verdict}]"
-    )
-    target = record.get("target_speedup_vs_prepr2")
-    gated = record["compiled"] and record.get("baseline_compiled")
-    print(
-        f"flat backend: {record['speedup_vs_object']:.2f}x vs object "
-        f"engine, {record['speedup_vs_prepr2']:.2f}x vs pre-PR-2 floor "
-        f"(target {target}, "
-        f"{'gated' if gated else 'tracked only: pure-python kernel'}), "
-        f"bit-identical=True"
-    )
-    status = 0 if verdict == "OK" else 1
-    if (
-        gated
-        and target
-        and record["speedup_vs_prepr2"] < target / (1.0 + max_regression)
-    ):
-        print(
-            "flat backend: compiled kernel fell below the recorded "
-            "target speedup over the pre-PR-2 floor [REGRESSION]"
-        )
-        status = 1
-    return status
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -278,12 +186,7 @@ def main(argv=None) -> int:
         print(f"cycle drift: {record.get('note', 'unknown cause')}")
         if args.allow_drift:
             print("--allow-drift given; skipping the timing comparison")
-            return max(
-                check_sampled_point(runner, baseline, args.max_regression),
-                check_flat_backend(
-                    runner, baseline, args.max_regression, args.allow_drift
-                ),
-            )
+            return check_sampled_point(runner, baseline, args.max_regression)
         print(
             "the detailed model changed semantics; re-record "
             f"{os.path.relpath(HOTLOOP_BASELINE)} if this is intentional"
@@ -301,10 +204,7 @@ def main(argv=None) -> int:
     )
     hot_status = 0 if verdict == "OK" else 1
     shard_status = check_sampled_point(runner, baseline, args.max_regression)
-    flat_status = check_flat_backend(
-        runner, baseline, args.max_regression, args.allow_drift
-    )
-    return max(hot_status, shard_status, flat_status)
+    return max(hot_status, shard_status)
 
 
 if __name__ == "__main__":

@@ -229,87 +229,6 @@ main()
 """
 
 
-#: Child body for :func:`measure_flat_backend`: times the reference
-#: hot-loop configuration under the flat engine vs the object engine in
-#: a fresh interpreter (same protocol as the hot-loop child), asserting
-#: the two backends hash identically — the flat engine is a pure
-#: execution-strategy change, like window sharding.
-_FLATBACKEND_CHILD = r"""
-import hashlib, json, sys, time
-from repro.analysis.runner import (
-    memory_factory, result_to_dict, workload_traces,
-)
-from repro.core.engine_flat import COMPILED
-from repro.core.fetch import FetchPolicy
-from repro.core.params import SMTConfig
-from repro.core.smt import SMTProcessor
-
-
-def calibrate():
-    # Same fixed loop as the hot-loop child (see its comment).
-    t0 = time.perf_counter()
-    acc = 0
-    for i in range(2_000_000):
-        acc += i ^ (i >> 3)
-    return time.perf_counter() - t0
-
-
-def canonical(result):
-    blob = json.dumps(
-        result_to_dict(result), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def run_once(cfg, traces, backend):
-    t0 = time.perf_counter()
-    processor = SMTProcessor(
-        SMTConfig(
-            isa=cfg["isa"], n_threads=cfg["n_threads"], backend=backend
-        ),
-        memory_factory(cfg["memory"])(),
-        traces,
-        fetch_policy=FetchPolicy(cfg["fetch_policy"]),
-        completions_target=cfg["completions_target"],
-    )
-    result = processor.run()
-    return time.perf_counter() - t0, result
-
-
-def main():
-    cfg = json.loads(sys.argv[1])
-    traces = workload_traces(
-        cfg["isa"], cfg["scale"], cfg["seed"], cfg["trace_dir"]
-    )
-    flat = obj = calibration = None
-    flat_hash = obj_hash = cycles = None
-    for __ in range(cfg["repeats"]):
-        elapsed, result = run_once(cfg, traces, "flat")
-        flat_hash = canonical(result)
-        cycles = result.cycles
-        if flat is None or elapsed < flat:
-            flat = elapsed
-        elapsed, result = run_once(cfg, traces, "object")
-        obj_hash = canonical(result)
-        if obj is None or elapsed < obj:
-            obj = elapsed
-        elapsed = calibrate()
-        if calibration is None or elapsed < calibration:
-            calibration = elapsed
-    print(json.dumps({
-        "flat": flat,
-        "object": obj,
-        "cycles": cycles,
-        "identical": flat_hash == obj_hash,
-        "compiled": COMPILED,
-        "calibration": calibration,
-    }))
-
-
-main()
-"""
-
-
 def _child_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -373,78 +292,6 @@ def measure_sampled_point(
         "sharded_seconds": round(measured["sharded"], 4),
         "shard_speedup": round(measured["serial"] / measured["sharded"], 3),
     }
-
-
-def measure_flat_backend(runner: Runner, repeats: int = 4) -> dict | None:
-    """Re-time the reference point under the flat vs object engine.
-
-    ``results/hotloop_baseline.json``'s ``flat_backend`` section pins
-    the wall time of the hot-loop reference configuration under
-    ``SMTConfig(backend="flat")`` (protocol and compile state inside).
-    This re-runs both backends in a fresh subprocess — min over
-    ``repeats`` each — asserts they hash identically, and returns the
-    record for BENCH_experiments.json and ``check_hotloop.py``'s third
-    curve, including the drift-normalized speedup over the *pre-PR-2*
-    hot-loop floor (``before_seconds``), the number the ≥5× compiled
-    target is defined against.  Returns ``None`` when the baseline has
-    no ``flat_backend`` section or the subprocess fails.
-    """
-    if not os.path.exists(HOTLOOP_BASELINE):
-        return None
-    try:
-        with open(HOTLOOP_BASELINE) as handle:
-            baseline = json.load(handle)
-        cfg = baseline["config"]
-        flat_baseline = baseline["flat_backend"]
-    except (OSError, ValueError, KeyError):
-        return None
-    payload = dict(cfg, repeats=repeats, trace_dir=runner.trace_dir)
-    if payload["trace_dir"]:
-        runner.workload(cfg["isa"], cfg["scale"], cfg["seed"])
-    proc = subprocess.run(
-        [sys.executable, "-c", _FLATBACKEND_CHILD, json.dumps(payload)],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
-    )
-    if proc.returncode != 0:
-        return None
-    measured = json.loads(proc.stdout.strip().splitlines()[-1])
-    # Two drift factors, one per recording machine: the flat baseline's
-    # own calibration normalizes the regression guard, the pre-PR-2
-    # calibration normalizes the headline speedup-over-floor figure.
-    machine_factor = (
-        measured["calibration"] / flat_baseline["calibration_seconds"]
-    )
-    adjusted_floor = baseline["before_seconds"] * (
-        measured["calibration"] / baseline["calibration_seconds"]
-    )
-    record = {
-        "config": cfg,
-        "repeats": repeats,
-        "compiled": measured["compiled"],
-        "identical": measured["identical"],
-        "machine_factor": round(machine_factor, 3),
-        "baseline_flat_seconds": flat_baseline["flat_seconds"],
-        "baseline_compiled": flat_baseline.get("compiled", False),
-        "target_speedup_vs_prepr2": flat_baseline.get(
-            "target_speedup_vs_prepr2"
-        ),
-        "flat_seconds": round(measured["flat"], 4),
-        "object_seconds": round(measured["object"], 4),
-        "speedup_vs_object": round(
-            measured["object"] / measured["flat"], 3
-        ),
-        "adjusted_prepr2_seconds": round(adjusted_floor, 4),
-        "speedup_vs_prepr2": round(adjusted_floor / measured["flat"], 3),
-    }
-    if measured["cycles"] != baseline["cycles"]:
-        record["speedup_vs_prepr2"] = None
-        record["note"] = (
-            f"cycle count drifted from the baseline "
-            f"({measured['cycles']} vs {baseline['cycles']})"
-        )
-    return record
 
 
 def measure_hot_loop(runner: Runner, repeats: int = 8) -> dict | None:
@@ -591,14 +438,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         "--window-jobs to cut the latency of a few large sampled points.",
     )
     parser.add_argument(
-        "--backend", choices=("object", "flat", "auto"), default=None,
-        help="pipeline engine for every simulation point (default: the "
-        "per-request 'auto' — the flat engine when its compiled kernel "
-        "is installed, else the object engine).  A pure execution-"
-        "strategy knob: results are bit-identical and share one cache "
-        "slot across backends.",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="skip the on-disk result/trace cache (still dedups in process)",
     )
@@ -696,7 +535,6 @@ def main(argv=None) -> int:
         cache_dir=cache_dir,
         resilience=resilience,
         window_jobs=args.window_jobs,
-        backend=args.backend,
     )
     checkpoint = SweepCheckpoint(
         cache_dir,
@@ -746,7 +584,6 @@ def main(argv=None) -> int:
         status: str,
         hot_loop: dict | None = None,
         sampled_point: dict | None = None,
-        flat_backend: dict | None = None,
     ) -> None:
         stats = runner.stats
         # Throughput covers cache hits too: cached results carry the
@@ -760,7 +597,6 @@ def main(argv=None) -> int:
         bench = {
             "scale": scale,
             "jobs": args.jobs,
-            "backend": args.backend or "auto",
             "cache": not args.no_cache,
             "sampling": list(sampling) if sampling else None,
             "code_version": code_version(),
@@ -789,8 +625,6 @@ def main(argv=None) -> int:
             bench["hot_loop"] = hot_loop
         if sampled_point is not None:
             bench["sampled_point"] = sampled_point
-        if flat_backend is not None:
-            bench["flat_backend"] = flat_backend
         # Shard provenance: how many points used intra-run parallelism
         # and what each one's chunk fan-out cost.
         bench["window_sharding"] = {
@@ -908,14 +742,11 @@ def main(argv=None) -> int:
     if args.no_hotloop:
         hot_loop = None
         sampled_point = None
-        flat_backend = None
     else:
         with profiler.phase("hot_loop"):
             hot_loop = measure_hot_loop(runner)
         with profiler.phase("sampled_point"):
             sampled_point = measure_sampled_point(runner)
-        with profiler.phase("flat_backend"):
-            flat_backend = measure_flat_backend(runner)
     if hot_loop is not None and hot_loop.get("speedup"):
         emit(
             f"\nhot loop (mom/8T/conventional/rr @1e-4): "
@@ -939,18 +770,6 @@ def main(argv=None) -> int:
             f"({sampled_point['shard_speedup']:.2f}x, bit-identical="
             f"{sampled_point['identical']})"
         )
-    if flat_backend is not None:
-        # Stdout only: same rationale as the sampled point above.
-        kernel = "compiled" if flat_backend["compiled"] else "pure-python"
-        speedup = flat_backend.get("speedup_vs_prepr2")
-        vs_prepr2 = f", {speedup:.2f}x vs pre-PR-2 floor" if speedup else ""
-        print(
-            f"flat backend ({kernel} kernel): "
-            f"{flat_backend['object_seconds']:.2f} s object -> "
-            f"{flat_backend['flat_seconds']:.2f} s flat "
-            f"({flat_backend['speedup_vs_object']:.2f}x vs object engine"
-            f"{vs_prepr2}, bit-identical={flat_backend['identical']})"
-        )
 
     wall = time.time() - start
     stats = runner.stats
@@ -971,7 +790,7 @@ def main(argv=None) -> int:
             handle.write("\n".join(lines) + "\n")
         print(f"report written to {report_path}")
 
-    write_bench("ok", hot_loop, sampled_point, flat_backend)
+    write_bench("ok", hot_loop, sampled_point)
     checkpoint.clear()
     return 0
 

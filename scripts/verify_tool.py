@@ -14,8 +14,8 @@ Usage:
     --baseline PATH        baseline file (default: .codelint-baseline.json)
     --update-baseline      accept all current findings into the baseline
 
-``cache`` options (the shared result store that ``run_experiments.py``
-and the sweep service both use; see docs/RESILIENCE.md):
+``cache`` options (the result store ``run_experiments.py`` writes; see
+docs/RESILIENCE.md):
     --cache-dir PATH       store to scan (default: results/.runcache)
     --purge-corrupt        quarantine corrupt entries and delete all
                            quarantined (``.corrupt``) files

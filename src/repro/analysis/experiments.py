@@ -662,9 +662,10 @@ def figure_requests(
 ) -> dict[str, list[RunRequest]]:
     """Every figure's simulation points, as buildable requests.
 
-    The exact batches the drivers above submit, keyed by figure —
-    the sweep service's clients (``repro.service``) and harnesses use
-    this to enumerate the whole working set without running a driver.
+    The exact batches the drivers above submit, keyed by figure, so a
+    caller can enumerate the whole working set without running a
+    driver (``tests/test_analysis_reporting.py`` holds the drivers to
+    this).
     ``table3`` and the stall breakdown are derived *artifacts* (they
     reuse these runs' trace caches, not runcache points), so they do
     not appear here; a report generated from a cache populated by

@@ -184,8 +184,8 @@ class SweepFailure(RuntimeError):
         # The default BaseException reduction would rebuild this as
         # ``SweepFailure(formatted_message)`` — a TypeError, and the
         # outcome bookkeeping lost — if it ever crosses a process
-        # boundary (nested orchestration, a future distributed sweep
-        # service).  Rebuild from the real outcome lists instead.
+        # boundary (raised inside a pool worker, it is pickled back to
+        # the parent).  Rebuild from the real outcome lists instead.
         return (self.__class__, (self.failed + self.aborted, self.total))
 
     def summary(self) -> str:

@@ -182,7 +182,7 @@ def quarantine_entry(path: str, what: str = "result-cache") -> str:
     Returns the quarantine path (``<entry>.corrupt``), or
     ``"(could not be moved)"`` when the rename itself failed.  Callers
     own the bookkeeping (``RunnerStats.corrupt_quarantined`` for the
-    runner, ``ServiceStats`` for the sweep service).
+    runner and the serving driver).
     """
     quarantined = f"{path}.corrupt"
     try:
@@ -203,11 +203,10 @@ class ResultStore:
     """The content-addressed, checksummed result store.
 
     One directory of ``<fingerprint>.json`` entries in the
-    :func:`write_checked_json` envelope, shared by :class:`Runner`
-    (in-process sweeps) and the sweep service (``repro.service`` —
-    many clients, one store).  Both sides read and write the exact
-    same payload shape, so a sweep that ran through the service is a
-    warm cache for ``run_experiments.py`` and vice versa:
+    :func:`write_checked_json` envelope, written by :class:`Runner`
+    for the paper sweeps and by the serving driver
+    (:mod:`repro.analysis.serving`, ``serving-`` prefixed
+    fingerprints).  Every entry has the same payload shape:
 
     ``{"result_format", "code_version", "request", "result",
     "sim_seconds", "saved_at"}``
@@ -402,14 +401,6 @@ FINGERPRINT_EXEMPT_REQUEST_FIELDS = {
         "fingerprinting it would fork the result cache on a pure "
         "execution-strategy knob"
     ),
-    "backend": (
-        "measurement-invariant by contract: the flat engine "
-        "(repro.core.engine_flat) is bit-identical to the object engine "
-        "— same canonical hash, same sampled chunk schedule — pinned by "
-        "the cross-backend golden suite (tests/test_engine_flat.py), so "
-        "both backends share one runcache slot; fingerprinting it would "
-        "fork the result cache on a pure execution-strategy knob"
-    ),
 }
 
 
@@ -442,20 +433,8 @@ class RunRequest:
     #: ``FINGERPRINT_EXEMPT_REQUEST_FIELDS``).  Ignored for non-sampled
     #: runs and for workloads too small to chunk.
     window_jobs: int = field(default=1, compare=False)
-    #: Pipeline engine (``SMTConfig.backend``): ``"object"``, ``"flat"``
-    #: or ``"auto"``.  An execution-strategy knob like ``window_jobs``
-    #: — the flat engine is bit-identical by contract — so it is
-    #: excluded from equality/hash (both backends are the *same*
-    #: simulation point; memo and cache must agree) and from the
-    #: fingerprint (see ``FINGERPRINT_EXEMPT_REQUEST_FIELDS``).
-    backend: str = field(default="auto", compare=False)
 
     def __post_init__(self):
-        if self.backend not in ("object", "flat", "auto"):
-            raise ValueError(
-                "backend must be 'object', 'flat' or 'auto', "
-                f"not {self.backend!r}"
-            )
         # Normalize enum-typed policies so RunRequest("mmx", 1,
         # fetch_policy=FetchPolicy.RR) and the string form are the same
         # request (and hash identically).
@@ -576,7 +555,6 @@ def execute_request(
             isa=request.isa,
             n_threads=request.n_threads,
             sampling=request.sampling,
-            backend=request.backend,
         ),
         memory_factory(request.memory)(),
         traces,
@@ -586,7 +564,7 @@ def execute_request(
     return processor.run()
 
 
-def pool_execute(args: tuple) -> dict:
+def _pool_execute(args: tuple) -> dict:
     """Worker-process entry point: simulate and return timed plain data.
 
     ``args`` is ``(request, trace_dir, attempt, fingerprint)`` — the
@@ -596,9 +574,8 @@ def pool_execute(args: tuple) -> dict:
     fully-cached sweep can still report the throughput of the
     simulations that produced its numbers.
 
-    Shared by :meth:`Runner.run_batch` and the sweep service — both
-    dispatch through the module attribute at call time, so a test
-    double installed over either name applies to every consumer.
+    :meth:`Runner.run_batch` dispatches through this module attribute
+    at call time, so a test double installed over it applies.
     """
     request, trace_dir, attempt, fingerprint = args
     faultinject.fire_execution_fault(fingerprint, attempt)
@@ -609,11 +586,6 @@ def pool_execute(args: tuple) -> dict:
         "result": result_to_dict(result),
         "attempt": attempt,
     }
-
-
-#: Legacy name of :func:`pool_execute`; ``run_batch`` dispatches through
-#: this module global so existing test doubles keep working.
-_pool_execute = pool_execute
 
 
 # ------------------------------------------------------------- window shards
@@ -678,7 +650,6 @@ def _window_pool_execute(args: tuple) -> dict:
             isa=request.isa,
             n_threads=request.n_threads,
             sampling=request.sampling,
-            backend=request.backend,
         ),
         memory_factory(request.memory)(),
         traces,
@@ -841,13 +812,6 @@ class Runner:
         ``window_jobs`` to cut the latency of a few large sampled
         points — inside pool workers sharding auto-disables, so the
         two never nest.
-    backend:
-        Pipeline engine override applied to every executed request
-        (``"object"``, ``"flat"`` or ``"auto"``; see
-        ``RunRequest.backend``).  ``None`` (default) leaves each
-        request's own setting.  Like ``window_jobs``, a pure
-        execution-strategy knob: results are bit-identical either way
-        and share one cache slot.
     """
 
     def __init__(
@@ -857,19 +821,12 @@ class Runner:
         version: str | None = None,
         resilience: ResilienceConfig | None = None,
         window_jobs: int = 1,
-        backend: str | None = None,
     ):
         self.jobs = max(1, int(jobs))
         self.cache_dir = cache_dir
         self.version = version
         self.resilience = resilience or ResilienceConfig()
         self.window_jobs = max(1, int(window_jobs))
-        if backend not in (None, "object", "flat", "auto"):
-            raise ValueError(
-                "backend must be None, 'object', 'flat' or 'auto', "
-                f"not {backend!r}"
-            )
-        self.backend = backend
         #: Shard provenance records drained from the module log after
         #: each batch (one per sharded point; rides BENCH).
         self.window_shard_events: list[dict] = []
@@ -883,9 +840,8 @@ class Runner:
         self.outcomes: dict[RunRequest, RunOutcome] = {}
         self._memo: dict[RunRequest, RunResult] = {}
         self._artifacts: dict[tuple, object] = {}
-        #: The shared on-disk result store (``None`` without a cache
-        #: dir).  The same class backs the sweep service, so either
-        #: side's entries are warm hits for the other.
+        #: The on-disk result store (``None`` without a cache dir).
+        #: The serving driver reads and writes through it too.
         self.store: ResultStore | None = (
             ResultStore(cache_dir, version) if cache_dir else None
         )
@@ -999,14 +955,6 @@ class Runner:
                 # mapping returned to the caller.
                 todo = [
                     replace(request, window_jobs=self.window_jobs)
-                    for request in todo
-                ]
-            if self.backend is not None:
-                # Same contract as window_jobs: backend is excluded from
-                # equality/hash, so rewritten requests remain the keys
-                # the caller and the memo agree on.
-                todo = [
-                    replace(request, backend=self.backend)
                     for request in todo
                 ]
             started = time.perf_counter()

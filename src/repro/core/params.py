@@ -130,22 +130,8 @@ class SMTConfig:
     #: metrics registry, or pass a ready
     #: :class:`~repro.obs.events.PipelineObserver`.
     observe: object = None
-    #: Pipeline engine selection.  ``"object"`` runs the reference
-    #: engine (:class:`~repro.core.smt.SMTProcessor` object graph);
-    #: ``"flat"`` runs the table-driven flat-buffer engine
-    #: (:mod:`repro.core.engine_flat`), bit-identical by contract;
-    #: ``"auto"`` (the default) picks the flat engine only when its
-    #: compiled kernel is installed, else the object engine.  Runs with
-    #: ``sanitize`` or ``observe`` enabled always use the object engine
-    #: (the hooks only exist there; see docs/MODEL.md).
-    backend: str = "auto"
 
     def __post_init__(self):
-        if self.backend not in ("object", "flat", "auto"):
-            raise ValueError(
-                "backend must be 'object', 'flat' or 'auto', "
-                f"not {self.backend!r}"
-            )
         if self.observe not in (None, True, False, "metrics") and not hasattr(
             self.observe, "on_fetch"
         ):

@@ -382,26 +382,6 @@ class ThreadContext:
 class SMTProcessor:
     """Runs a multiprogrammed workload on the configured SMT machine."""
 
-    def __new__(cls, config=None, *args, **kwargs):
-        # Backend dispatch (SMTConfig.backend): constructing the base
-        # class may return the flat-buffer engine instead.  Sanitize and
-        # observe runs always stay on the object engine — the hooks only
-        # exist here (docs/MODEL.md "Compiled backend").  Subclasses
-        # (including FlatSMTProcessor itself) construct literally.
-        if (
-            cls is SMTProcessor
-            and config is not None
-            and config.backend != "object"
-            and not config.sanitize
-            and (config.observe is None or config.observe is False)
-        ):
-            from repro.core.engine_flat import resolve_flat_engine
-
-            engine = resolve_flat_engine(config.backend)
-            if engine is not None:
-                return object.__new__(engine)
-        return object.__new__(cls)
-
     def __init__(
         self,
         config: SMTConfig,
@@ -567,9 +547,9 @@ class SMTProcessor:
         # never skip beyond it or its wake entries would be orphaned.
         return max(min(candidates), self.now)
 
-    # codelint: hot-loop — the HOT-* rules hold this body to the
-    # compiled-backend subset: hoisted locals, no per-iteration
-    # allocation, no closures (docs/VERIFY.md).
+    # codelint: hot-loop — runs once per simulated cycle; the HOT-*
+    # rules keep per-cycle interpreter cost out of it: hoisted locals,
+    # no per-iteration allocation, no closures (docs/VERIFY.md).
     def step(self) -> bool:
         """Advance one cycle; returns whether any pipeline work happened.
 

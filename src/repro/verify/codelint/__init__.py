@@ -11,9 +11,9 @@ on (see ``docs/VERIFY.md`` for the full catalog and suppression syntax):
   ``is not None`` guard pattern; no eager obs/verify imports in core;
 * **POOL-*** — exceptions and callables crossing the ProcessPool
   survive pickling; module-level mutable state is named as audited;
-* **HOT-*** — functions marked ``# codelint: hot-loop`` stay within the
-  compiled-backend subset (hoisted locals, no per-iteration allocation,
-  no closures).
+* **HOT-*** — functions marked ``# codelint: hot-loop`` keep the
+  per-cycle interpreter cost the hoisting removed out of their loops
+  (hoisted locals, no per-iteration allocation, no closures).
 
 Entry points: :func:`lint_repo` (the real tree),
 :func:`lint_sources` (in-memory fixtures — the test suite and the

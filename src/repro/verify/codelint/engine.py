@@ -46,7 +46,7 @@ from repro.verify.diagnostics import Diagnostic, Severity
 _SUPPRESS_LINE = re.compile(r"#\s*codelint:\s*disable=([A-Z*][A-Z0-9*,-]*)")
 #: Whole-file suppression on a comment line of its own.
 _SUPPRESS_FILE = re.compile(r"#\s*codelint:\s*disable-file=([A-Z*][A-Z0-9*,-]*)")
-#: Marks a function as hot-loop code for the HOT-* compilable-subset rules.
+#: Marks a function as hot-loop code for the HOT-* per-cycle-cost rules.
 HOT_MARKER = re.compile(r"#\s*codelint:\s*hot-loop\b")
 
 #: Path prefixes of the packages whose code determines simulated

@@ -1,26 +1,33 @@
-"""HOT-* — the compilable-subset gate for marked hot-loop functions.
+"""HOT-* — the per-cycle interpreter-cost gate for marked hot loops.
 
-The fused ``step()`` in ``core/smt.py`` bought ~2x by hoisting every
-``self.*`` lookup out of the per-cycle loops (PR 2), and the ROADMAP's
-compiled backend needs ``step()`` to stay within a subset a table-driven
-/ mypyc / Cython engine can digest: flat locals, no dict/set allocation
-per iteration, no closures.  Regressions in that discipline are silent
-— a single re-introduced ``self.config.commit_width`` inside the commit
-loop costs two dict lookups per cycle and nothing fails.
-
-A function opts into these rules with a marker comment on (or directly
-above) its ``def`` line::
+The fused ``step()`` in ``core/smt.py`` runs once per simulated cycle;
+it bought ~2x by hoisting every ``self.*`` lookup out of its per-cycle
+loops into locals.  A function opts into these rules with a marker
+comment on (or directly above) its ``def`` line::
 
     # codelint: hot-loop
     def step(self) -> bool: ...
 
-Inside a marked function the rules flag, within ``for``/``while``
-bodies: ``self.<attr>`` lookups and stores (HOT-SELF-LOOP — hoist to a
-local before the loop / write back after), ``self.a.b`` attribute
-chains (HOT-ATTR-CHAIN), and dict/set/comprehension allocation
-(HOT-ALLOC); and anywhere in the function: lambdas and nested defs
-(HOT-CLOSURE).  Rare-path exceptions take a per-line suppression with
-its rationale in the comment.
+Each rule flags a pattern that puts per-cycle interpreter cost back
+into such a function, and nothing fails when it does:
+
+* HOT-SELF-LOOP — a ``self.<attr>`` lookup or store in a ``for`` /
+  ``while`` body: an attribute load (an instance-dict lookup) per
+  iteration where a hoisted local is one array-slot load.  Hoist to a
+  local before the loop, write back after.
+* HOT-ATTR-CHAIN — ``self.a.b`` in a loop body: one such lookup per
+  link; a re-introduced ``self.config.commit_width`` inside the commit
+  loop costs two dict lookups per cycle.
+* HOT-ALLOC — a dict/set/comprehension in a loop body: a heap
+  allocation and free per iteration (and, before Python 3.12, a
+  comprehension's own frame).
+* HOT-CLOSURE — a lambda or nested def anywhere in the function: a new
+  function object on every call, i.e. every cycle, and every local it
+  captures becomes a cell variable, so each use of that local pays a
+  cell dereference instead of a fast-local load.
+
+Rare-path exceptions take a per-line suppression with its rationale in
+the comment.
 """
 
 from __future__ import annotations
@@ -67,8 +74,9 @@ class _HotVisitor:
                 self._flag(
                     "HOT-CLOSURE", stmt,
                     f"nested function {stmt.name!r} in hot loop {name!r}: "
-                    "closures are outside the compilable subset; move it "
-                    "to module scope",
+                    "builds a function object every call and turns the "
+                    "locals it captures into cells; move it to module "
+                    "scope",
                 )
             elif isinstance(stmt, ast.Lambda):
                 self._flag(
@@ -142,7 +150,8 @@ class _HotVisitor:
                     "HOT-ALLOC", node,
                     f"{type(node).__name__} allocation inside a loop of "
                     f"hot function {name!r}: preallocate outside the loop "
-                    "or use flat tables (compiled-backend subset)",
+                    "or use flat tables (a heap allocation and free per "
+                    "iteration)",
                 )
             stack.extend(ast.iter_child_nodes(node))
 
@@ -161,11 +170,12 @@ class _HotVisitor:
         ),
         "HOT-ALLOC": (
             "dict/set/comprehension allocation inside a marked hot loop "
-            "(per-iteration allocation; outside the compilable subset)"
+            "(a heap allocation and free per iteration)"
         ),
         "HOT-CLOSURE": (
             "lambda or nested def in a marked hot-loop function "
-            "(closures block the compiled backend)"
+            "(a function object per call, i.e. per cycle; captured "
+            "locals become cells)"
         ),
     },
 )

@@ -194,7 +194,7 @@ def check_pool_callables(source: SourceFile) -> Iterator[Diagnostic]:
     },
     scope=tuple(
         p for p in ("core/", "memory/", "isa/", "tracegen/", "workloads/",
-                    "obs/", "analysis/", "verify/", "kernels/", "service/")
+                    "obs/", "analysis/", "verify/", "kernels/")
     ),
 )
 def check_mutable_globals(source: SourceFile) -> Iterator[Diagnostic]:

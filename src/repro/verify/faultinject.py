@@ -36,10 +36,6 @@ Fault semantics:
 * ``corrupt`` — the just-written cache entry is overwritten with a
   truncated, checksum-violating payload, exercising the quarantine
   path on the next read.
-* ``disconnect`` — a service-layer fault: the sweep server consults
-  :meth:`FaultPlan.drops_connection` before delivering a result frame
-  and, on a hit, aborts the client's connection instead, exercising
-  the reconnect/resubmit path (see ``repro.service``).
 """
 
 from __future__ import annotations
@@ -85,10 +81,6 @@ class FaultPlan:
     hang_fraction: float = 0.0
     crash_fraction: float = 0.0
     corrupt_fraction: float = 0.0
-    #: Fraction of result deliveries the sweep service aborts mid-wire
-    #: (independent draw, salt ``"net"``; no effect outside the
-    #: service layer).
-    disconnect_fraction: float = 0.0
     #: Attempt number (0-based) on which faults fire.
     fault_attempt: int = 0
     #: How long an injected hang sleeps.  Should comfortably exceed the
@@ -96,8 +88,7 @@ class FaultPlan:
     hang_seconds: float = 600.0
 
     def __post_init__(self):
-        for name in ("hang_fraction", "crash_fraction", "corrupt_fraction",
-                     "disconnect_fraction"):
+        for name in ("hang_fraction", "crash_fraction", "corrupt_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
@@ -128,19 +119,6 @@ class FaultPlan:
         if attempt != self.fault_attempt:
             return False
         return self._draw("cache", fingerprint) < self.corrupt_fraction
-
-    def drops_connection(self, fingerprint: str, attempt: int) -> bool:
-        """Whether delivery number ``attempt`` of this result drops.
-
-        ``attempt`` counts *deliveries* of the fingerprint (the sweep
-        server keeps the count), not execution attempts — so with the
-        default ``fault_attempt=0`` the first delivery is aborted and
-        the redelivery after the client reconnects goes through,
-        guaranteeing chaos runs converge.
-        """
-        if attempt != self.fault_attempt:
-            return False
-        return self._draw("net", fingerprint) < self.disconnect_fraction
 
     # ----- (de)serialization -------------------------------------------------
 

@@ -3,17 +3,27 @@
 import pytest
 
 from repro.analysis import (
+    Runner,
     format_table,
     run_breakdown_table3,
+    run_fig4_ideal,
+    run_fig5_real,
+    run_fig6_fetch,
+    run_fig8_decoupled,
+    run_fig9_summary,
+    run_table4_cache,
     simulate,
 )
+from repro.analysis import runner as runner_module
 from repro.analysis.paper import (
     FIG4_IDEAL,
     SUMMARY_SPEEDUP,
     TABLE3_TOTALS,
     TABLE4,
 )
+from repro.analysis.experiments import sweep_requests
 from repro.analysis.reporting import paper_vs_measured
+from repro.analysis.runner import RunRequest
 from repro.core.fetch import FetchPolicy
 
 FAST_SCALE = 1.2e-5
@@ -85,6 +95,37 @@ class TestDrivers:
             fetch_policy=FetchPolicy.OCOUNT, scale=FAST_SCALE,
         )
         assert result.fetch_policy == "ocount"
+
+    def test_sweep_requests_are_exactly_what_the_drivers_submit(
+        self, monkeypatch
+    ):
+        # Every executed point is recorded and answered with one canned
+        # real result, so the drivers run end to end without simulating
+        # their sweep.  The enumeration must match what they submit: an
+        # extra or missing point would be simulated by whoever collects
+        # a sweep's results from sweep_requests after its drivers ran.
+        canned = runner_module._pool_execute(
+            (RunRequest("mmx", 1, memory="perfect", scale=FAST_SCALE),
+             None, 0, "canned")
+        )
+        executed = []
+
+        def recording(args):
+            executed.append(args[0])
+            return canned
+
+        monkeypatch.setattr(runner_module, "_pool_execute", recording)
+        runner = Runner()
+        fig4 = run_fig4_ideal(scale=FAST_SCALE, runner=runner)
+        run_fig5_real(scale=FAST_SCALE, ideal=fig4, runner=runner)
+        run_table4_cache(scale=FAST_SCALE, runner=runner)
+        run_fig6_fetch(scale=FAST_SCALE, runner=runner)
+        run_fig8_decoupled(scale=FAST_SCALE, runner=runner)
+        run_fig9_summary(scale=FAST_SCALE, runner=runner)
+
+        enumerated = sweep_requests(FAST_SCALE)
+        assert len(enumerated) == len(set(enumerated))
+        assert set(executed) == set(enumerated)
 
     def test_table3_driver_report(self):
         result = run_breakdown_table3(scale=FAST_SCALE)

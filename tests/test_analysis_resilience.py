@@ -160,10 +160,10 @@ class TestBackoff:
 class TestBackoffProperties:
     """Property coverage: the delay law the whole repo relies on.
 
-    Both the runner and the sweep service resubmit with
-    :func:`backoff_delay`; deterministic replay of a chaos run needs
-    the delay to be a pure function of (seed, fingerprint, attempt)
-    with a monotone, capped envelope.
+    The resilient executor resubmits with :func:`backoff_delay`, for
+    whole runs and window shards alike; deterministic replay of a chaos
+    run needs the delay to be a pure function of (seed, fingerprint,
+    attempt) with a monotone, capped envelope.
     """
 
     @given(
@@ -207,8 +207,8 @@ class TestBackoffProperties:
     )
     @settings(max_examples=5, deadline=None)
     def test_stable_across_processes(self, triples):
-        # A service restart (or a client on another host) must compute
-        # the *same* delays: bit-exact, not just statistically similar.
+        # A resumed sweep in a fresh interpreter must compute the
+        # *same* delays: bit-exact, not just statistically similar.
         import json
         import subprocess
         import sys

@@ -14,8 +14,10 @@ from repro.analysis.runner import (
     memory_factory,
     result_from_dict,
     result_to_dict,
+    workload_traces,
 )
 from repro.core.fetch import FetchPolicy
+from repro.core.smt import sampled_chunk_count
 from repro.memory.hierarchy import ConventionalHierarchy
 from repro.memory.perfect import PerfectMemory
 
@@ -111,47 +113,26 @@ class TestWindowJobsExemption:
         assert rewritten.window_jobs == 8
         assert rewritten.fingerprint("v") == request.fingerprint("v")
 
-
-class TestBackendExemption:
-    """backend is audited out of the fingerprint, not forgotten.
-
-    The flat and object engines are bit-identical by contract
-    (tests/test_engine_flat.py pins it against golden hashes), so the
-    engine choice is a pure execution strategy: fingerprinting it would
-    fork the result cache on a knob that cannot move a result.  These
-    tests mirror the window_jobs exemption above — the exemption table
-    stays honest, and equality/hash/fingerprint all agree that two
-    requests differing only in backend are the same simulation point.
-    """
-
-    def test_backend_in_exempt_table(self):
-        from repro.analysis.runner import FINGERPRINT_EXEMPT_REQUEST_FIELDS
-
-        assert "backend" in FINGERPRINT_EXEMPT_REQUEST_FIELDS
-
-    def test_backend_not_in_fingerprint(self):
-        assert (
-            tiny(backend="flat").fingerprint("v") == tiny().fingerprint("v")
-        )
-
-    def test_backend_not_in_equality_or_hash(self):
-        assert tiny(backend="flat") == tiny(backend="object")
-        assert hash(tiny(backend="flat")) == hash(tiny(backend="object"))
-
-    def test_backend_validated(self):
-        with pytest.raises(ValueError, match="backend"):
-            tiny(backend="vectorized")
-
-    def test_replace_preserves_identity(self):
+    def test_cold_sharded_runner_fans_out_every_chunk(self, tmp_path):
         request = tiny(sampling=(1000, 200, 50))
-        rewritten = dataclasses.replace(request, backend="flat")
-        assert rewritten == request
-        assert rewritten.backend == "flat"
-        assert rewritten.fingerprint("v") == request.fingerprint("v")
+        n_chunks = sampled_chunk_count(
+            request.sampling,
+            workload_traces(request.isa, request.scale, request.seed),
+            request.completions_target,
+        )
+        assert n_chunks > 1, "the request must genuinely chunk"
+        runner = Runner(cache_dir=str(tmp_path), window_jobs=2)
+        runner.run(request)
+        assert runner.stats.simulated == 1
+        assert runner.stats.window_shards == n_chunks
 
-    def test_runner_backend_override_validated(self):
-        with pytest.raises(ValueError, match="backend"):
-            Runner(backend="vectorized")
+    def test_sharded_runner_hits_the_serial_cache_slot(self, tmp_path):
+        request = tiny(sampling=(1000, 200, 50))
+        Runner(cache_dir=str(tmp_path)).run(request)
+        warm = Runner(cache_dir=str(tmp_path), window_jobs=2)
+        warm.run(request)
+        assert warm.stats.simulated == 0
+        assert warm.stats.disk_hits == 1
 
 
 class TestResultRoundTrip:

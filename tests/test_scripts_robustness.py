@@ -151,95 +151,6 @@ class TestSampledPointCoreCountSkip:
         assert "BIT-IDENTITY BROKEN" in capsys.readouterr().out
 
 
-class TestCheckFlatBackendGuards:
-    BASELINE = {
-        "cycles": 30572,
-        "flat_backend": {
-            "flat_seconds": 1.1,
-            "calibration_seconds": 0.1,
-            "compiled": False,
-            "target_speedup_vs_prepr2": 5.0,
-        },
-    }
-
-    def record(self, **overrides):
-        base = {
-            "config": {},
-            "compiled": False,
-            "identical": True,
-            "machine_factor": 1.0,
-            "baseline_flat_seconds": 1.1,
-            "baseline_compiled": False,
-            "target_speedup_vs_prepr2": 5.0,
-            "flat_seconds": 1.1,
-            "object_seconds": 1.0,
-            "speedup_vs_object": 0.9,
-            "adjusted_prepr2_seconds": 1.6,
-            "speedup_vs_prepr2": 1.45,
-        }
-        base.update(overrides)
-        return base
-
-    def run_check(self, monkeypatch, record, allow_drift=False):
-        monkeypatch.setattr(
-            check_hotloop, "measure_flat_backend", lambda runner: record
-        )
-        return check_hotloop.check_flat_backend(
-            None, self.BASELINE, max_regression=0.25, allow_drift=allow_drift
-        )
-
-    def test_within_budget_passes(self, monkeypatch, capsys):
-        assert self.run_check(monkeypatch, self.record()) == 0
-        out = capsys.readouterr().out
-        assert "[OK]" in out
-        assert "tracked only: pure-python kernel" in out
-
-    def test_missing_baseline_section_is_actionable(self, capsys):
-        status = check_hotloop.check_flat_backend(
-            None, {"cycles": 1}, max_regression=0.25, allow_drift=False
-        )
-        assert status == 2
-        assert "no flat_backend record" in capsys.readouterr().out
-
-    def test_bit_identity_break_fails_unconditionally(
-        self, monkeypatch, capsys
-    ):
-        record = self.record(identical=False, flat_seconds=0.01)
-        assert self.run_check(monkeypatch, record) == 1
-        assert "BIT-IDENTITY BROKEN" in capsys.readouterr().out
-
-    def test_latency_regression_fails(self, monkeypatch, capsys):
-        record = self.record(flat_seconds=2.0)
-        assert self.run_check(monkeypatch, record) == 1
-        assert "[REGRESSION]" in capsys.readouterr().out
-
-    def test_cycle_drift_fails_without_allow_drift(
-        self, monkeypatch, capsys
-    ):
-        record = self.record(speedup_vs_prepr2=None, note="cycle drift")
-        assert self.run_check(monkeypatch, record) == 1
-        assert self.run_check(monkeypatch, record, allow_drift=True) == 0
-
-    def test_pure_python_below_target_is_tracked_not_gated(
-        self, monkeypatch
-    ):
-        # speedup_vs_prepr2 1.45 is far below the 5x target; with a
-        # pure-python kernel that is informational, not a failure.
-        assert (
-            self.run_check(monkeypatch, self.record(speedup_vs_prepr2=1.45))
-            == 0
-        )
-
-    def test_compiled_kernel_below_target_is_gated(
-        self, monkeypatch, capsys
-    ):
-        record = self.record(
-            compiled=True, baseline_compiled=True, speedup_vs_prepr2=2.0
-        )
-        assert self.run_check(monkeypatch, record) == 1
-        assert "below the recorded target" in capsys.readouterr().out
-
-
 class TestMeasureHotLoopGuard:
     def test_malformed_baseline_returns_none_with_warning(
         self, tmp_path, monkeypatch, capsys

@@ -416,7 +416,7 @@ def test_hot_marker_found_atop_comment_block():
     diags = lint_one(
         "core/smt.py",
         "# codelint: hot-loop — fused pipeline loop; see ROADMAP\n"
-        "# (compiled-backend subset: flat locals only).\n"
+        "# (runs once per cycle: hoisted locals only).\n"
         "def step(sim):\n"
         "    for ctx in sim.contexts:\n"
         "        probe = lambda: ctx\n"

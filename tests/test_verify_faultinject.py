@@ -78,39 +78,6 @@ class TestFaultPlan:
         plan = FaultPlan(seed=9, crash_fraction=0.25, hang_seconds=12.5)
         assert FaultPlan.from_json(plan.to_json()) == plan
 
-    def test_disconnect_fraction_validated(self):
-        with pytest.raises(ValueError, match="disconnect_fraction"):
-            FaultPlan(disconnect_fraction=1.01)
-        with pytest.raises(ValueError, match="disconnect_fraction"):
-            FaultPlan(disconnect_fraction=-0.5)
-
-    def test_disconnects_are_deterministic_and_delivery_gated(self):
-        plan = FaultPlan(seed=4, disconnect_fraction=0.5)
-        decisions = [plan.drops_connection(f"fp{i}", 0) for i in range(200)]
-        assert decisions == [
-            plan.drops_connection(f"fp{i}", 0) for i in range(200)
-        ]
-        assert any(decisions) and not all(decisions)
-        # Deliveries other than fault_attempt always go through — the
-        # redelivery after a drop must succeed so chaos runs converge.
-        assert not any(
-            plan.drops_connection(f"fp{i}", 1) for i in range(200)
-        )
-        assert not any(
-            FaultPlan(disconnect_fraction=1.0).drops_connection(f"fp{i}", 1)
-            for i in range(50)
-        )
-
-    def test_disconnect_draw_independent_of_execution_faults(self):
-        # Salted separately ("net" vs "run"): the set of dropped
-        # deliveries must not simply mirror the set of crashed runs.
-        plan = FaultPlan(seed=0, crash_fraction=0.5, disconnect_fraction=0.5)
-        crashed = [
-            plan.execution_fault(f"fp{i}", 0) == "crash" for i in range(300)
-        ]
-        dropped = [plan.drops_connection(f"fp{i}", 0) for i in range(300)]
-        assert crashed != dropped
-
 
 class TestActivation:
     def test_no_plan_by_default(self):
