@@ -184,6 +184,51 @@ def test_serving_pins_pin_their_fingerprints():
         ), name
 
 
+# ----- trace-content pins ----------------------------------------------------
+
+
+def trace_sha256(trace):
+    """SHA-256 of a trace's canonical JSON: its header fields and every
+    ``Instruction`` slot of every instruction, in trace order."""
+    from repro.isa.instruction import Instruction
+
+    document = {
+        "name": trace.name,
+        "isa": trace.isa,
+        "mmx_equivalent": trace.mmx_equivalent,
+        "instructions": [
+            [getattr(inst, slot) for slot in Instruction.__slots__]
+            for inst in trace.instructions
+        ],
+    }
+    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(load_bitident()["trace_runs"]))
+def test_trace_content_reproduces_pinned_hash(name):
+    """The trace compiler is a pure function of (program, ISA, scale,
+    seed): every pinned trace must come back byte for byte."""
+    from repro.tracegen.program import build_program_trace
+
+    pinned = load_bitident()["trace_runs"][name]
+    where = (
+        f"{pinned['program']}/{pinned['isa']} at scale "
+        f"{pinned['scale']:g}, seed {pinned['seed']}"
+    )
+    trace = build_program_trace(
+        pinned["program"], pinned["isa"],
+        scale=pinned["scale"], seed=pinned["seed"],
+    )
+    assert len(trace) == pinned["instructions"], (
+        f"trace {where} moved: {len(trace)} instructions, "
+        f"pinned {pinned['instructions']}"
+    )
+    assert trace_sha256(trace) == pinned["sha256"], (
+        f"trace {where} moved: same length, different content"
+    )
+
+
 # ----- the comparator itself -------------------------------------------------
 
 
