@@ -224,8 +224,16 @@ class ResultStore:
 
     @property
     def trace_dir(self) -> str:
-        """Trace-cache directory, nested so one rm clears both."""
-        path = os.path.join(self.cache_dir, "traces")
+        """Trace-cache directory, nested so one rm clears both.
+
+        One subdirectory per code version (the store's ``version``, else
+        :func:`code_version`): trace files are named by generation
+        parameters only, so a trace-generator edit must not find the
+        old generator's traces.
+        """
+        path = os.path.join(
+            self.cache_dir, "traces", self.version or code_version()
+        )
         os.makedirs(path, exist_ok=True)
         return path
 
@@ -794,9 +802,10 @@ class Runner:
         process; higher values fan out over a ``ProcessPoolExecutor``.
         Results are bit-identical either way.
     cache_dir:
-        Directory for the on-disk result cache (and, under ``traces/``,
-        the trace cache).  ``None`` disables persistence — the runner
-        still deduplicates and memoizes within the process.
+        Directory for the on-disk result cache (and, under
+        ``traces/<code version>/``, the trace cache).  ``None`` disables
+        persistence — the runner still deduplicates and memoizes within
+        the process.
     version:
         Override for the code-version component of fingerprints (tests
         use this to exercise invalidation without editing source files).

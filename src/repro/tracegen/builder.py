@@ -12,17 +12,34 @@ and lays out each program's address space:
 * numbered kernel arrays — large buffers walked with streaming strides.
 
 All randomness is drawn from a seeded ``random.Random`` so traces are
-fully deterministic for a given (program, ISA, scale, seed).
+fully deterministic for a given (program, ISA, scale, seed).  The RNG
+calls are part of the trace format: which ``random()``, ``randrange()``
+and ``randint()`` calls the compiler makes, in what order and with what
+arguments, decides every trace it writes.  ``trace_runs`` in
+``tests/golden/bitident.json`` pins the content of 56 traces, so a
+faster emitter must make the same draws, draw for draw.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import cycle
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
-from repro.isa.registers import LOGICAL_COUNTS, RegisterClass, make_reg
+from repro.isa.registers import LOGICAL_COUNTS, NO_REG, RegisterClass, make_reg
+
+# Opcodes bound once: an enum attribute costs more than a global load in
+# the per-instruction emitters.
+INT_ALU, INT_MUL, BRANCH = Opcode.INT_ALU, Opcode.INT_MUL, Opcode.BRANCH
+LOAD, STORE = Opcode.LOAD, Opcode.STORE
+FP_ADD, FP_MUL, FP_DIV = Opcode.FP_ADD, Opcode.FP_MUL, Opcode.FP_DIV
+MMX_ALU, MMX_MUL = Opcode.MMX_ALU, Opcode.MMX_MUL
+MMX_LOAD, MMX_STORE = Opcode.MMX_LOAD, Opcode.MMX_STORE
+MOM_ALU, MOM_MUL, MOM_REDUCE = Opcode.MOM_ALU, Opcode.MOM_MUL, Opcode.MOM_REDUCE
+MOM_LOAD, MOM_STORE = Opcode.MOM_LOAD, Opcode.MOM_STORE
+MOM_SETSLR = Opcode.MOM_SETSLR
 
 #: Bytes per instruction (Alpha-style fixed 32-bit encoding).
 INSTRUCTION_BYTES = 4
@@ -153,7 +170,14 @@ class FractionAccumulator:
 
 
 class TraceBuilder:
-    """Emits decoded instructions with realistic registers and addresses."""
+    """Emits decoded instructions with realistic registers and addresses.
+
+    Every emitter makes its RNG draws in one fixed order: the
+    destination register is rotated in first (so a source may read it),
+    then each source is drawn from its class's recent window — one
+    ``random()`` for the chain test and, when that fails, one
+    ``randrange(len(window))``.
+    """
 
     CODE_BASE = 0x0001_0000
 
@@ -170,227 +194,263 @@ class TraceBuilder:
         )
         self.instructions: list[Instruction] = []
         self._pc = self.CODE_BASE
-        self._next_reg = {rclass: 4 for rclass in RegisterClass}
-        self._recent: dict[RegisterClass, deque] = {
-            rclass: deque(maxlen=RECENT_WINDOW) for rclass in RegisterClass
-        }
-        # Seed the recent windows so early instructions have sources.
+        self._random = self.rng.random
+        self._randrange = self.rng.randrange
+        self._recent: dict[RegisterClass, deque] = {}
+        dst_cycles = {}
         for rclass in RegisterClass:
-            for index in range(min(4, LOGICAL_COUNTS[rclass])):
-                self._recent[rclass].append(make_reg(rclass, index))
+            count = LOGICAL_COUNTS[rclass]
+            # Seed the recent windows so early instructions have sources.
+            self._recent[rclass] = deque(
+                (make_reg(rclass, index) for index in range(min(4, count))),
+                maxlen=RECENT_WINDOW,
+            )
+            # Destinations rotate within the class's upper range: large
+            # classes keep their first four registers as stable "live"
+            # values (the loop-invariant bases the seeds provide); small
+            # classes (the two MOM accumulators) rotate over everything.
+            low = 4 if count > 8 else 0
+            dst_cycles[rclass] = cycle(
+                [make_reg(rclass, index) for index in range(low, count)]
+            )
+        self._int_recent = self._recent[RegisterClass.INT]
+        self._fp_recent = self._recent[RegisterClass.FP]
+        self._mmx_recent = self._recent[RegisterClass.MMX]
+        self._stream_recent = self._recent[RegisterClass.STREAM]
+        self._acc_recent = self._recent[RegisterClass.ACC]
+        self._int_dst = dst_cycles[RegisterClass.INT]
+        self._fp_dst = dst_cycles[RegisterClass.FP]
+        self._mmx_dst = dst_cycles[RegisterClass.MMX]
+        self._stream_dst = dst_cycles[RegisterClass.STREAM]
+        self._acc_dst = dst_cycles[RegisterClass.ACC]
 
-    # ----- register selection -------------------------------------------------
-
-    def _alloc(self, rclass: RegisterClass) -> int:
-        """Rotate destination registers within the class's upper range.
-
-        Large classes keep their first four registers as stable "live"
-        values (loop-invariant bases the recent-window seeds provide);
-        small classes (the two MOM accumulators) rotate over everything.
-        """
-        count = LOGICAL_COUNTS[rclass]
-        low = 4 if count > 8 else 0
-        index = self._next_reg[rclass]
-        if index < low or index >= count:
-            index = low
-        self._next_reg[rclass] = low + (index + 1 - low) % (count - low)
-        reg = make_reg(rclass, index)
-        self._recent[rclass].append(reg)
-        return reg
-
-    def _pick_src(self, rclass: RegisterClass) -> int:
-        recent = self._recent[rclass]
-        if self.rng.random() < CHAIN_PROB:
-            return recent[-1]
-        return recent[self.rng.randrange(len(recent))]
-
-    def _srcs(self, rclass: RegisterClass, count: int) -> tuple[int, ...]:
-        return tuple(self._pick_src(rclass) for _ in range(count))
-
-    # ----- emission primitives --------------------------------------------------
-
-    def _emit(self, instruction: Instruction) -> Instruction:
-        self.instructions.append(instruction)
-        return instruction
-
-    def _next_pc(self, pc: int | None = None) -> int:
-        """Use an explicit static PC when given, else auto-increment.
-
-        Region emitters allocate static code blocks with
-        :meth:`alloc_code` and replay their PCs across loop iterations so
-        the I-cache and branch predictor see realistic re-execution.
-        """
-        if pc is not None:
-            return pc
-        pc = self._pc
-        self._pc += INSTRUCTION_BYTES
-        return pc
+    # ----- code layout ----------------------------------------------------------
 
     def alloc_code(self, n_instructions: int) -> int:
-        """Reserve a static code block; returns its base PC."""
+        """Reserve a static code block; returns its base PC.
+
+        Region emitters pass the PCs of their static blocks explicitly
+        and replay them across loop iterations so the I-cache and branch
+        predictor see realistic re-execution; an emitter called without
+        ``pc`` takes the next sequential address instead.
+        """
         base = self._pc
         self._pc += n_instructions * INSTRUCTION_BYTES
         return base
 
+    # ----- emitters ---------------------------------------------------------------
+    #
+    # The source picks are written out inline (``recent[-1] if random() <
+    # CHAIN_PROB else recent[randrange(len(recent))]``): this is the
+    # innermost loop of trace generation.
+
     def int_op(self, mul: bool = False, n_srcs: int = 2, pc: int | None = None) -> Instruction:
-        op = Opcode.INT_MUL if mul else Opcode.INT_ALU
-        return self._emit(
-            Instruction(
-                op,
-                pc=self._next_pc(pc),
-                dst=self._alloc(RegisterClass.INT),
-                srcs=self._srcs(RegisterClass.INT, n_srcs),
+        if pc is None:
+            pc = self.alloc_code(1)
+        recent = self._int_recent
+        dst = next(self._int_dst)
+        recent.append(dst)
+        random = self._random
+        randrange = self._randrange
+        if n_srcs == 2:
+            srcs = (
+                recent[-1] if random() < CHAIN_PROB else recent[randrange(len(recent))],
+                recent[-1] if random() < CHAIN_PROB else recent[randrange(len(recent))],
             )
-        )
+        else:
+            srcs = tuple([
+                recent[-1] if random() < CHAIN_PROB else recent[randrange(len(recent))]
+                for __ in range(n_srcs)
+            ])
+        inst = Instruction(INT_MUL if mul else INT_ALU, pc, dst, srcs)
+        self.instructions.append(inst)
+        return inst
 
     def fp_op(self, mul: bool = False, div: bool = False, pc: int | None = None) -> Instruction:
         if div:
-            op = Opcode.FP_DIV
+            op = FP_DIV
         else:
-            op = Opcode.FP_MUL if mul else Opcode.FP_ADD
-        return self._emit(
-            Instruction(
-                op,
-                pc=self._next_pc(pc),
-                dst=self._alloc(RegisterClass.FP),
-                srcs=self._srcs(RegisterClass.FP, 2),
-            )
+            op = FP_MUL if mul else FP_ADD
+        if pc is None:
+            pc = self.alloc_code(1)
+        recent = self._fp_recent
+        dst = next(self._fp_dst)
+        recent.append(dst)
+        random = self._random
+        randrange = self._randrange
+        srcs = (
+            recent[-1] if random() < CHAIN_PROB else recent[randrange(len(recent))],
+            recent[-1] if random() < CHAIN_PROB else recent[randrange(len(recent))],
         )
+        inst = Instruction(op, pc, dst, srcs)
+        self.instructions.append(inst)
+        return inst
 
     def branch(self, taken: bool, target: int | None = None, pc: int | None = None) -> Instruction:
-        pc = self._next_pc(pc)
+        if pc is None:
+            pc = self.alloc_code(1)
         if target is None:
             # Backward loop branch by default.
             target = max(self.CODE_BASE, pc - 32 * INSTRUCTION_BYTES)
-        return self._emit(
-            Instruction(
-                Opcode.BRANCH,
-                pc=pc,
-                srcs=self._srcs(RegisterClass.INT, 1),
-                taken=taken,
-                target=target,
-            )
+        recent = self._int_recent
+        src = (
+            recent[-1] if self._random() < CHAIN_PROB
+            else recent[self._randrange(len(recent))]
         )
+        inst = Instruction(BRANCH, pc, NO_REG, (src,), 0, 8, 1, 0, taken, target)
+        self.instructions.append(inst)
+        return inst
 
     def load(self, addr: int, size: int = 8, pc: int | None = None) -> Instruction:
-        return self._emit(
-            Instruction(
-                Opcode.LOAD,
-                pc=self._next_pc(pc),
-                dst=self._alloc(RegisterClass.INT),
-                srcs=self._srcs(RegisterClass.INT, 1),
-                mem_addr=addr,
-                mem_size=size,
-            )
+        if pc is None:
+            pc = self.alloc_code(1)
+        recent = self._int_recent
+        dst = next(self._int_dst)
+        recent.append(dst)
+        src = (
+            recent[-1] if self._random() < CHAIN_PROB
+            else recent[self._randrange(len(recent))]
         )
+        inst = Instruction(LOAD, pc, dst, (src,), addr, size)
+        self.instructions.append(inst)
+        return inst
 
     def store(self, addr: int, size: int = 8, pc: int | None = None) -> Instruction:
-        return self._emit(
-            Instruction(
-                Opcode.STORE,
-                pc=self._next_pc(pc),
-                srcs=self._srcs(RegisterClass.INT, 2),
-                mem_addr=addr,
-                mem_size=size,
-            )
+        if pc is None:
+            pc = self.alloc_code(1)
+        recent = self._int_recent
+        random = self._random
+        randrange = self._randrange
+        srcs = (
+            recent[-1] if random() < CHAIN_PROB else recent[randrange(len(recent))],
+            recent[-1] if random() < CHAIN_PROB else recent[randrange(len(recent))],
         )
+        inst = Instruction(STORE, pc, NO_REG, srcs, addr, size)
+        self.instructions.append(inst)
+        return inst
 
     def mmx_op(self, mul: bool = False, pc: int | None = None) -> Instruction:
-        op = Opcode.MMX_MUL if mul else Opcode.MMX_ALU
-        return self._emit(
-            Instruction(
-                op,
-                pc=self._next_pc(pc),
-                dst=self._alloc(RegisterClass.MMX),
-                srcs=self._srcs(RegisterClass.MMX, 2),
-            )
+        if pc is None:
+            pc = self.alloc_code(1)
+        recent = self._mmx_recent
+        dst = next(self._mmx_dst)
+        recent.append(dst)
+        random = self._random
+        randrange = self._randrange
+        srcs = (
+            recent[-1] if random() < CHAIN_PROB else recent[randrange(len(recent))],
+            recent[-1] if random() < CHAIN_PROB else recent[randrange(len(recent))],
         )
+        inst = Instruction(MMX_MUL if mul else MMX_ALU, pc, dst, srcs)
+        self.instructions.append(inst)
+        return inst
 
     def mmx_load(self, addr: int, pc: int | None = None) -> Instruction:
-        return self._emit(
-            Instruction(
-                Opcode.MMX_LOAD,
-                pc=self._next_pc(pc),
-                dst=self._alloc(RegisterClass.MMX),
-                srcs=self._srcs(RegisterClass.INT, 1),
-                mem_addr=addr,
-            )
+        if pc is None:
+            pc = self.alloc_code(1)
+        recent = self._int_recent
+        dst = next(self._mmx_dst)
+        self._mmx_recent.append(dst)
+        src = (
+            recent[-1] if self._random() < CHAIN_PROB
+            else recent[self._randrange(len(recent))]
         )
+        inst = Instruction(MMX_LOAD, pc, dst, (src,), addr)
+        self.instructions.append(inst)
+        return inst
 
     def mmx_store(self, addr: int, pc: int | None = None) -> Instruction:
-        return self._emit(
-            Instruction(
-                Opcode.MMX_STORE,
-                pc=self._next_pc(pc),
-                srcs=(
-                    self._pick_src(RegisterClass.MMX),
-                    self._pick_src(RegisterClass.INT),
-                ),
-                mem_addr=addr,
-            )
+        if pc is None:
+            pc = self.alloc_code(1)
+        data = self._mmx_recent
+        base = self._int_recent
+        random = self._random
+        randrange = self._randrange
+        srcs = (
+            data[-1] if random() < CHAIN_PROB else data[randrange(len(data))],
+            base[-1] if random() < CHAIN_PROB else base[randrange(len(base))],
         )
+        inst = Instruction(MMX_STORE, pc, NO_REG, srcs, addr)
+        self.instructions.append(inst)
+        return inst
 
     def mom_op(
         self, stream_length: int, mul: bool = False, reduce: bool = False,
         pc: int | None = None,
     ) -> Instruction:
+        recent = self._stream_recent
+        random = self._random
+        randrange = self._randrange
         if reduce:
             # Accumulation is read-modify-write: the accumulator is both
             # destination and source, so back-to-back reductions into the
             # same accumulator serialize (RAW dependence).
-            op = Opcode.MOM_REDUCE
-            dst = self._alloc(RegisterClass.ACC)
-            srcs = self._srcs(RegisterClass.STREAM, 1) + (dst,)
-        else:
-            op = Opcode.MOM_MUL if mul else Opcode.MOM_ALU
-            dst = self._alloc(RegisterClass.STREAM)
-            srcs = self._srcs(RegisterClass.STREAM, 2)
-        return self._emit(
-            Instruction(
-                op,
-                pc=self._next_pc(pc),
-                dst=dst,
-                srcs=srcs,
-                stream_length=stream_length,
+            op = MOM_REDUCE
+            dst = next(self._acc_dst)
+            self._acc_recent.append(dst)
+            srcs = (
+                recent[-1] if random() < CHAIN_PROB else recent[randrange(len(recent))],
+                dst,
             )
-        )
+        else:
+            op = MOM_MUL if mul else MOM_ALU
+            dst = next(self._stream_dst)
+            recent.append(dst)
+            srcs = (
+                recent[-1] if random() < CHAIN_PROB else recent[randrange(len(recent))],
+                recent[-1] if random() < CHAIN_PROB else recent[randrange(len(recent))],
+            )
+        if pc is None:
+            pc = self.alloc_code(1)
+        inst = Instruction(op, pc, dst, srcs, 0, 8, stream_length)
+        self.instructions.append(inst)
+        return inst
 
     def mom_load(self, addr: int, stream_length: int, stride: int,
                  pc: int | None = None) -> Instruction:
-        return self._emit(
-            Instruction(
-                Opcode.MOM_LOAD,
-                pc=self._next_pc(pc),
-                dst=self._alloc(RegisterClass.STREAM),
-                srcs=self._srcs(RegisterClass.INT, 1),
-                mem_addr=addr,
-                stream_length=stream_length,
-                stride=stride,
-            )
+        if pc is None:
+            pc = self.alloc_code(1)
+        recent = self._int_recent
+        dst = next(self._stream_dst)
+        self._stream_recent.append(dst)
+        src = (
+            recent[-1] if self._random() < CHAIN_PROB
+            else recent[self._randrange(len(recent))]
         )
+        inst = Instruction(
+            MOM_LOAD, pc, dst, (src,), addr, 8, stream_length, stride
+        )
+        self.instructions.append(inst)
+        return inst
 
     def mom_store(self, addr: int, stream_length: int, stride: int,
                   pc: int | None = None) -> Instruction:
-        return self._emit(
-            Instruction(
-                Opcode.MOM_STORE,
-                pc=self._next_pc(pc),
-                srcs=(
-                    self._pick_src(RegisterClass.STREAM),
-                    self._pick_src(RegisterClass.INT),
-                ),
-                mem_addr=addr,
-                stream_length=stream_length,
-                stride=stride,
-            )
+        if pc is None:
+            pc = self.alloc_code(1)
+        data = self._stream_recent
+        base = self._int_recent
+        random = self._random
+        randrange = self._randrange
+        srcs = (
+            data[-1] if random() < CHAIN_PROB else data[randrange(len(data))],
+            base[-1] if random() < CHAIN_PROB else base[randrange(len(base))],
         )
+        inst = Instruction(
+            MOM_STORE, pc, NO_REG, srcs, addr, 8, stream_length, stride
+        )
+        self.instructions.append(inst)
+        return inst
 
     def setslr(self, pc: int | None = None) -> Instruction:
-        return self._emit(
-            Instruction(
-                Opcode.MOM_SETSLR,
-                pc=self._next_pc(pc),
-                dst=self._alloc(RegisterClass.INT),
-                srcs=self._srcs(RegisterClass.INT, 1),
-            )
+        if pc is None:
+            pc = self.alloc_code(1)
+        recent = self._int_recent
+        dst = next(self._int_dst)
+        recent.append(dst)
+        src = (
+            recent[-1] if self._random() < CHAIN_PROB
+            else recent[self._randrange(len(recent))]
         )
+        inst = Instruction(MOM_SETSLR, pc, dst, (src,))
+        self.instructions.append(inst)
+        return inst

@@ -88,6 +88,10 @@ def load_trace(path: str) -> Trace:
         handle.seek(position)
         instructions = []
         for line in handle:
+            if not line.endswith("\n"):
+                # Every record ends its line; a cut inside the last
+                # number would otherwise still parse.
+                raise ValueError(f"{path}: truncated last record")
             parts = [int(p) for p in line.split()]
             op = Opcode(parts[0])
             pc, dst, nsrcs = parts[1], parts[2], parts[3]

@@ -12,7 +12,7 @@ predictable; a fraction are data-dependent coin flips).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.tracegen.builder import INSTRUCTION_BYTES, TraceBuilder
 
@@ -51,6 +51,15 @@ class StaticBlock:
     base_pc: int
     body_len: int           # instructions before the terminating branch
     branch: StaticBranch
+    #: The body's PCs, built once: every dynamic visit replays the same
+    #: int objects instead of re-deriving them.
+    pcs: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.pcs = tuple(
+            self.base_pc + INSTRUCTION_BYTES * offset
+            for offset in range(self.body_len)
+        )
 
 
 def _draw_branch(rng: random.Random, pc: int, hot: bool) -> StaticBranch:
@@ -143,53 +152,54 @@ class ScalarRegion:
         """
         builder = self.builder
         rng = self.rng
-        emitted = {"int": 0, "fp": 0, "mem": 0}
-        remaining = {"int": n_int, "fp": n_fp, "mem": n_mem}
+        random = rng.random
+        int_op = builder.int_op
+        fp_op = builder.fp_op
+        scalar_addr = builder.space.scalar_addr
+        int_mul_frac = self.int_mul_frac
+        load_share = self.load_share
+        # What remains due per class, as plain ints.  A negative budget
+        # counts as zero, and a class is only drawn while its budget is
+        # positive, so none ever drops below zero.
+        want_int, want_fp, want_mem = max(n_int, 0), max(n_fp, 0), max(n_mem, 0)
+        left_int, left_fp, left_mem = want_int, want_fp, want_mem
         block = self._pick_block()
-        while any(v > 0 for v in remaining.values()):
-            pc = block.base_pc
-            for __ in range(block.body_len):
+        while left_int > 0 or left_fp > 0 or left_mem > 0:
+            for pc in block.pcs:
                 # Pick the class proportionally to what remains due.
-                total = sum(max(v, 0) for v in remaining.values())
+                total = left_int + left_fp + left_mem
                 if total <= 0:
                     break
-                roll = rng.random() * total
-                if roll < max(remaining["int"], 0):
-                    builder.int_op(mul=rng.random() < self.int_mul_frac, pc=pc)
-                    remaining["int"] -= 1
-                    emitted["int"] += 1
-                elif roll < max(remaining["int"], 0) + max(remaining["fp"], 0):
-                    builder.fp_op(mul=rng.random() < 0.45, pc=pc)
-                    remaining["fp"] -= 1
-                    emitted["fp"] += 1
+                roll = random() * total
+                if roll < left_int:
+                    int_op(mul=random() < int_mul_frac, pc=pc)
+                    left_int -= 1
+                elif roll < left_int + left_fp:
+                    fp_op(mul=random() < 0.45, pc=pc)
+                    left_fp -= 1
                 else:
-                    addr = builder.space.scalar_addr()
-                    if rng.random() < self.load_share:
+                    addr = scalar_addr()
+                    if random() < load_share:
                         builder.load(addr, pc=pc)
                     else:
                         builder.store(addr, pc=pc)
-                    remaining["mem"] -= 1
-                    emitted["mem"] += 1
-                pc += INSTRUCTION_BYTES
-            if remaining["int"] > 0:
+                    left_mem -= 1
+            if left_int > 0:
                 taken = block.branch.next_outcome(rng)
                 builder.branch(
                     taken, target=block.branch.target, pc=block.branch.pc
                 )
-                remaining["int"] -= 1
-                emitted["int"] += 1
+                left_int -= 1
                 if (
                     self.cold_blocks
-                    and rng.random() < self.cold_excursion_prob
+                    and random() < self.cold_excursion_prob
                 ):
                     # Rare excursion into cold code (a short linear run),
                     # then control returns to the interrupted path so the
                     # hot walk stays history-deterministic.
-                    start = int(
-                        len(self.cold_blocks) * rng.random() ** 2.5
-                    )
+                    start = int(len(self.cold_blocks) * random() ** 2.5)
                     run = rng.randint(4, 8)
-                    self._emit_cold_run(start, run, remaining, emitted)
+                    left_int -= self._emit_cold_run(start, run, left_int)
                 if taken:
                     # Follow the branch to its static target block.
                     block = self._block_at(block.branch.target)
@@ -200,31 +210,32 @@ class ScalarRegion:
                     ]
                 continue
             block = self._pick_block()
-        return emitted
+        return {
+            "int": want_int - left_int,
+            "fp": want_fp - left_fp,
+            "mem": want_mem - left_mem,
+        }
 
-    def _emit_cold_run(self, start: int, run: int, remaining, emitted) -> int:
-        """Execute a few consecutive cold blocks (fall-through chain)."""
+    def _emit_cold_run(self, start: int, run: int, budget: int) -> int:
+        """Execute a few consecutive cold blocks (fall-through chain).
+
+        Emits at most ``budget`` integer instructions and returns how
+        many it emitted.
+        """
         builder = self.builder
-        rng = self.rng
         count = 0
         for offset in range(run):
             block = self.cold_blocks[(start + offset) % len(self.cold_blocks)]
-            pc = block.base_pc
-            for __ in range(block.body_len):
-                if remaining["int"] <= 0:
+            for pc in block.pcs:
+                if count >= budget:
                     return count
                 builder.int_op(mul=False, pc=pc)
-                remaining["int"] -= 1
-                emitted["int"] += 1
                 count += 1
-                pc += INSTRUCTION_BYTES
-            if remaining["int"] > 0:
-                taken = block.branch.next_outcome(rng)
+            if count < budget:
+                taken = block.branch.next_outcome(self.rng)
                 builder.branch(
                     taken, target=block.branch.target, pc=block.branch.pc
                 )
-                remaining["int"] -= 1
-                emitted["int"] += 1
                 count += 1
                 if taken:
                     return count

@@ -21,6 +21,7 @@ The loop body PCs are static and replayed every iteration.
 from __future__ import annotations
 
 import math
+from itertools import cycle
 
 from repro.tracegen.builder import (
     FractionAccumulator,
@@ -104,47 +105,67 @@ class KernelRegion:
             self._acc_stores = FractionAccumulator(mix.stores_per_word)
             self._acc_core = FractionAccumulator(mix.core_ops_per_word)
         self._chunk_counter = 0
-        self._pc_cursor = 0
-
-    def _pc(self) -> int:
-        """Next static body PC (wraps before the branch slot)."""
-        pc = self._body_base + self._pc_cursor * INSTRUCTION_BYTES
-        self._pc_cursor = (self._pc_cursor + 1) % (self._body_len - 1)
-        return pc
+        # Static body PCs, replayed in order and wrapping before the
+        # branch slot; the cycle persists across bursts.
+        self._pcs = cycle([
+            self._body_base + offset * INSTRUCTION_BYTES
+            for offset in range(self._body_len - 1)
+        ])
 
     # ----- MMX lowering ---------------------------------------------------
 
-    def _emit_word_mmx(self, last: bool) -> None:
+    def _emit_words_mmx(self, words: int) -> None:
+        """``words`` iterations of the software-pipelined MMX loop."""
         builder = self.builder
-        mix = self.mix
-        for i in range(self._acc_loads.take()):
-            array = self.input_arrays[i % len(self.input_arrays)]
-            addr = builder.space.stream_addr(array, mix.stream_stride)
-            self._last_load_addr[array] = addr
-            builder.mmx_load(addr, pc=self._pc())
-        for i in range(self._acc_redundant.take()):
-            array = self.input_arrays[i % len(self.input_arrays)]
-            builder.mmx_load(self._last_load_addr[array], pc=self._pc())
-        for __ in range(self._acc_cold.take()):
-            builder.mmx_load(builder.space.cold_addr(8), pc=self._pc())
-        for i in range(self._acc_core.take()):
-            builder.mmx_op(mul=builder.rng.random() < CORE_MUL_FRAC, pc=self._pc())
-        for __ in range(self._acc_overhead.take()):
-            builder.mmx_op(mul=False, pc=self._pc())
-        for __ in range(self._acc_stores.take()):
-            addr = builder.space.stream_addr(self.output_array, mix.stream_stride)
-            builder.mmx_store(addr, pc=self._pc())
-        for __ in range(self._acc_int.take()):
-            builder.int_op(pc=self._pc())
-        for __ in range(self._acc_branch.take()):
-            builder.branch(
-                taken=not last, target=self._body_base, pc=self._branch_pc
-            )
+        random = builder.rng.random
+        stream_addr = builder.space.stream_addr
+        cold_addr = builder.space.cold_addr
+        mmx_load = builder.mmx_load
+        mmx_op = builder.mmx_op
+        next_pc = self._pcs.__next__
+        inputs = self.input_arrays
+        last_load_addr = self._last_load_addr
+        stride = self.mix.stream_stride
+        output = self.output_array
+        loads = self._acc_loads.take
+        redundant = self._acc_redundant.take
+        cold = self._acc_cold.take
+        core = self._acc_core.take
+        overhead = self._acc_overhead.take
+        stores = self._acc_stores.take
+        ints = self._acc_int.take
+        branches = self._acc_branch.take
+        for word in range(words):
+            for i in range(loads()):
+                array = inputs[i % len(inputs)]
+                addr = stream_addr(array, stride)
+                last_load_addr[array] = addr
+                mmx_load(addr, pc=next_pc())
+            for i in range(redundant()):
+                array = inputs[i % len(inputs)]
+                mmx_load(last_load_addr[array], pc=next_pc())
+            for __ in range(cold()):
+                mmx_load(cold_addr(8), pc=next_pc())
+            for __ in range(core()):
+                mmx_op(mul=random() < CORE_MUL_FRAC, pc=next_pc())
+            for __ in range(overhead()):
+                mmx_op(mul=False, pc=next_pc())
+            for __ in range(stores()):
+                addr = stream_addr(output, stride)
+                builder.mmx_store(addr, pc=next_pc())
+            for __ in range(ints()):
+                builder.int_op(pc=next_pc())
+            for __ in range(branches()):
+                builder.branch(
+                    taken=word != words - 1,
+                    target=self._body_base,
+                    pc=self._branch_pc,
+                )
 
     # ----- MOM lowering ----------------------------------------------------
 
-    def _emit_chunk_mom(self, last: bool) -> None:
-        """One unrolled chunk of 16 words of kernel work.
+    def _emit_chunks_mom(self, chunks: int) -> None:
+        """``chunks`` unrolled chunks of 16 words of kernel work each.
 
         The program's kernels sustain streams of ``mix.stream_length``
         words; shorter streams need proportionally more instructions to
@@ -152,37 +173,54 @@ class KernelRegion:
         chunk), while the loop-control integer cost stays per-chunk.
         """
         builder = self.builder
-        mix = self.mix
-        span = mix.stream_stride
-        length = mix.stream_length
+        random = builder.rng.random
+        stream_addr = builder.space.stream_addr
+        cold_addr = builder.space.cold_addr
+        mom_load = builder.mom_load
+        mom_op = builder.mom_op
+        next_pc = self._pcs.__next__
+        inputs = self.input_arrays
+        output = self.output_array
+        span = self.mix.stream_stride
+        length = self.mix.stream_length
         reps = max(1, STREAM_LENGTH // length)
-        self._chunk_counter += 1
-        if self._chunk_counter % SETSLR_PERIOD == 1:
-            builder.setslr(pc=self._pc())
-        else:
-            builder.int_op(pc=self._pc())
-        # Rates are per word; one rep-set of stream instructions covers the
-        # whole 16-word chunk — so each accumulator fires once per chunk.
-        for i in range(self._acc_loads.take()):
-            array = self.input_arrays[i % len(self.input_arrays)]
-            for __ in range(reps):
-                addr = builder.space.stream_addr(array, span * length)
-                builder.mom_load(addr, length, span, pc=self._pc())
-        for __ in range(self._acc_cold.take()):
-            for __ in range(reps):
-                addr = builder.space.cold_addr(8 * length)
-                builder.mom_load(addr, length, 8, pc=self._pc())
-        for __ in range(self._acc_core.take()):
-            reduce = builder.rng.random() < MOM_REDUCE_FRAC
-            mul = not reduce and builder.rng.random() < CORE_MUL_FRAC
-            for __ in range(reps):
-                builder.mom_op(length, mul=mul, reduce=reduce, pc=self._pc())
-        for __ in range(self._acc_stores.take()):
-            for __ in range(reps):
-                addr = builder.space.stream_addr(self.output_array, span * length)
-                builder.mom_store(addr, length, span, pc=self._pc())
-        builder.int_op(pc=self._pc())
-        builder.branch(taken=not last, target=self._body_base, pc=self._branch_pc)
+        loads = self._acc_loads.take
+        cold = self._acc_cold.take
+        core = self._acc_core.take
+        stores = self._acc_stores.take
+        for chunk in range(chunks):
+            self._chunk_counter += 1
+            if self._chunk_counter % SETSLR_PERIOD == 1:
+                builder.setslr(pc=next_pc())
+            else:
+                builder.int_op(pc=next_pc())
+            # Rates are per word; one rep-set of stream instructions covers
+            # the whole 16-word chunk — so each accumulator fires once per
+            # chunk.
+            for i in range(loads()):
+                array = inputs[i % len(inputs)]
+                for __ in range(reps):
+                    addr = stream_addr(array, span * length)
+                    mom_load(addr, length, span, pc=next_pc())
+            for __ in range(cold()):
+                for __ in range(reps):
+                    addr = cold_addr(8 * length)
+                    mom_load(addr, length, 8, pc=next_pc())
+            for __ in range(core()):
+                reduce = random() < MOM_REDUCE_FRAC
+                mul = not reduce and random() < CORE_MUL_FRAC
+                for __ in range(reps):
+                    mom_op(length, mul=mul, reduce=reduce, pc=next_pc())
+            for __ in range(stores()):
+                for __ in range(reps):
+                    addr = stream_addr(output, span * length)
+                    builder.mom_store(addr, length, span, pc=next_pc())
+            builder.int_op(pc=next_pc())
+            builder.branch(
+                taken=chunk != chunks - 1,
+                target=self._body_base,
+                pc=self._branch_pc,
+            )
 
     # ----- public API ---------------------------------------------------------
 
@@ -195,12 +233,9 @@ class KernelRegion:
         if words <= 0:
             return
         if self.builder.isa == "mmx":
-            for i in range(words):
-                self._emit_word_mmx(last=(i == words - 1))
+            self._emit_words_mmx(words)
         else:
-            chunks = max(1, round(words / STREAM_LENGTH))
-            for i in range(chunks):
-                self._emit_chunk_mom(last=(i == chunks - 1))
+            self._emit_chunks_mom(max(1, round(words / STREAM_LENGTH)))
 
 
 class FpKernelRegion:
@@ -231,36 +266,39 @@ class FpKernelRegion:
         )
         self._body_base = builder.alloc_code(body)
         self._branch_pc = self._body_base + (body - 1) * INSTRUCTION_BYTES
+        # The body's PCs, built once and replayed every iteration.
+        self._pcs = tuple(
+            self._body_base + offset * INSTRUCTION_BYTES
+            for offset in range(body - 1)
+        )
 
     def emit_burst(self, iterations: int) -> dict[str, int]:
         """Emit FP loop iterations; returns emitted class counts."""
         builder = self.builder
-        emitted = {"int": 0, "fp": 0, "mem": 0}
-        pc = self._body_base
+        stream_addr = builder.space.stream_addr
+        fp_op = builder.fp_op
+        input_array, output_array = self.input_array, self.output_array
+        stride = self.stride
         for i in range(iterations):
-            pc = self._body_base
+            next_pc = iter(self._pcs).__next__
             for __ in range(self.LOADS_PER_ITER):
-                addr = builder.space.stream_addr(self.input_array, self.stride)
-                builder.load(addr, pc=pc)
-                pc += INSTRUCTION_BYTES
-                emitted["mem"] += 1
+                addr = stream_addr(input_array, stride)
+                builder.load(addr, pc=next_pc())
             for j in range(self.FP_PER_ITER):
-                builder.fp_op(mul=(j % 2 == 0), pc=pc)
-                pc += INSTRUCTION_BYTES
-                emitted["fp"] += 1
+                fp_op(mul=(j % 2 == 0), pc=next_pc())
             for __ in range(self.STORES_PER_ITER):
-                addr = builder.space.stream_addr(self.output_array, self.stride)
-                builder.store(addr, pc=pc)
-                pc += INSTRUCTION_BYTES
-                emitted["mem"] += 1
+                addr = stream_addr(output_array, stride)
+                builder.store(addr, pc=next_pc())
             for __ in range(self.INT_PER_ITER):
-                builder.int_op(pc=pc)
-                pc += INSTRUCTION_BYTES
-                emitted["int"] += 1
+                builder.int_op(pc=next_pc())
             builder.branch(
                 taken=(i != iterations - 1),
                 target=self._body_base,
                 pc=self._branch_pc,
             )
-            emitted["int"] += 1
-        return emitted
+        done = max(iterations, 0)
+        return {
+            "int": done * (self.INT_PER_ITER + 1),
+            "fp": done * self.FP_PER_ITER,
+            "mem": done * (self.LOADS_PER_ITER + self.STORES_PER_ITER),
+        }

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.analysis import runner as runner_module
 from repro.analysis.runner import (
     RunRequest,
     Runner,
@@ -20,6 +21,7 @@ from repro.core.fetch import FetchPolicy
 from repro.core.smt import sampled_chunk_count
 from repro.memory.hierarchy import ConventionalHierarchy
 from repro.memory.perfect import PerfectMemory
+from repro.tracegen.serialize import load_trace, save_trace
 
 #: Small enough for sub-second runs, large enough that every program
 #: contributes instructions.
@@ -207,6 +209,34 @@ class TestRunnerCaching:
         runner.run(tiny())
         traces = os.listdir(runner.trace_dir)
         assert traces and all(t.endswith(".trace") for t in traces)
+
+    def test_cached_traces_are_keyed_by_code_version(self, tmp_path, monkeypatch):
+        # Trace files are named by generation parameters only, so after a
+        # trace-generator edit (a new code version) a runner over the same
+        # cache directory must not simulate the old generator's traces.
+        reference = Runner().run(tiny())
+        old = Runner(cache_dir=str(tmp_path), version="old-generator")
+        old.run(tiny())
+        # Stand in for the old generator's output: cut every cached trace
+        # to half its length.
+        for name in os.listdir(old.trace_dir):
+            path = os.path.join(old.trace_dir, name)
+            trace = load_trace(path)
+            trace.instructions = trace.instructions[: len(trace) // 2]
+            save_trace(trace, path)
+
+        def fresh_process(version):
+            # A new process: no in-memory workload traces, only the disk.
+            monkeypatch.setattr(runner_module, "_WORKLOAD_MEMO", {})
+            return Runner(cache_dir=str(tmp_path), version=version)
+
+        # Under its own version the doctored cache is what runs (so the
+        # planted traces would show) ...
+        assert fresh_process("old-generator").run(tiny(memory="perfect")) != (
+            Runner().run(tiny(memory="perfect"))
+        )
+        # ... and another version never reads it.
+        assert fresh_process("new-generator").run(tiny()) == reference
 
 
 class TestRunnerDedup:

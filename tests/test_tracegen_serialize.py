@@ -3,11 +3,21 @@
 import pytest
 
 from repro.core import SMTConfig, SMTProcessor
+from repro.isa.instruction import Instruction
 from repro.memory import PerfectMemory
 from repro.tracegen.program import build_program_trace
 from repro.tracegen.serialize import TraceCache, load_trace, save_trace
 
 SCALE = 1.2e-5
+
+
+def assert_same_trace(a, b):
+    """Header fields and every ``Instruction`` slot agree, in order."""
+    assert (a.name, a.isa, a.mmx_equivalent) == (b.name, b.isa, b.mmx_equivalent)
+    assert len(a) == len(b)
+    for x, y in zip(a.instructions, b.instructions):
+        for slot in Instruction.__slots__:
+            assert getattr(x, slot) == getattr(y, slot), slot
 
 
 @pytest.fixture()
@@ -30,6 +40,7 @@ class TestRoundTrip:
             assert a.dst == b.dst
             assert a.srcs == b.srcs
             assert a.mem_addr == b.mem_addr
+            assert a.mem_size == b.mem_size
             assert a.stream_length == b.stream_length
             assert a.stride == b.stride
             assert a.taken == b.taken
@@ -79,3 +90,41 @@ class TestTraceCache:
         cache.get("gsmdec", "mom", SCALE)
         cache.get("gsmdec", "mmx", SCALE, seed=1)
         assert len(list(tmp_path.iterdir())) == 3
+
+
+def _wrong_magic(text):
+    return text.replace("#repro-trace v1", "#repro-trace v0", 1)
+
+
+def _truncated_last_line(text):
+    # A torn copy that stops inside a branch record's target: the last
+    # line still has all its fields, one of them cut short.
+    start = text.index("\n3 ") + 1
+    return text[: text.index("\n", start) - 1]
+
+
+def _opcode_out_of_range(text):
+    lines = text.splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    lines[first] = "99" + lines[first][lines[first].index(" "):]
+    return "".join(lines)
+
+
+class TestTraceCacheSelfHeal:
+    """A broken cached file is reported, rebuilt and rewritten."""
+
+    @pytest.mark.parametrize(
+        "damage", [_wrong_magic, _truncated_last_line, _opcode_out_of_range]
+    )
+    def test_corrupt_file_is_regenerated_and_rewritten(self, tmp_path, damage):
+        TraceCache(str(tmp_path)).get("gsmdec", "mom", SCALE)
+        (path,) = tmp_path.iterdir()
+        path.write_text(damage(path.read_text()))
+        with pytest.raises(ValueError):
+            load_trace(str(path))
+
+        fresh = build_program_trace("gsmdec", "mom", scale=SCALE)
+        with pytest.warns(UserWarning, match="corrupt cached trace"):
+            healed = TraceCache(str(tmp_path)).get("gsmdec", "mom", SCALE)
+        assert_same_trace(healed, fresh)
+        assert_same_trace(load_trace(str(path)), fresh)
