@@ -20,8 +20,8 @@ directories and asserts the resilience layer's headline guarantees:
    match the reference report, and leave no corrupt entries.
 
 Reports are compared after stripping the provenance lines that
-legitimately differ between runs (wall time, cached/simulated split,
-hot-loop timing); every table byte must match.
+legitimately differ between runs (wall time, cached/simulated split);
+every table byte must match.
 
 Exit status: 0 when all phases pass, 1 on any violated guarantee.
 
@@ -52,7 +52,7 @@ RUN_EXPERIMENTS = os.path.join(REPO_ROOT, "scripts", "run_experiments.py")
 BENCH_PATH = os.path.join(REPO_ROOT, "results", "BENCH_experiments.json")
 
 #: Report lines that legitimately vary between runs of the same sweep.
-_VOLATILE_PREFIXES = ("runs:", "total wall time", "hot loop")
+_VOLATILE_PREFIXES = ("runs:", "total wall time")
 
 
 def canonical_report(path: str) -> str:
@@ -82,7 +82,6 @@ def sweep_command(args, cache_dir: str, output: str, extra=()) -> list[str]:
         "--jobs", str(args.jobs),
         "--cache-dir", cache_dir,
         "--output", output,
-        "--no-hotloop",
         *extra,
     ]
 

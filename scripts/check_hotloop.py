@@ -1,25 +1,12 @@
 #!/usr/bin/env python3
 """Timing-regression guard for the simulator hot loop.
 
-Guards two timing curves pinned in ``results/hotloop_baseline.json``:
-
-1. The detailed-model hot loop (protocol in
-   :func:`run_experiments.measure_hot_loop`): fails when the
-   drift-normalized speedup over the pre-optimization baseline has
-   regressed more than ``--max-regression`` (default 25 %) below the
-   recorded ``optimized_speedup``.
-2. The sampled-point latency curve (protocol in
-   :func:`run_experiments.measure_sampled_point`): re-times one sampled
-   simulation point under the serial and window-sharded schedules and
-   fails when either drift-normalized latency regresses more than
-   ``--max-regression`` past its recorded baseline — or, regardless of
-   any tolerance, when the two schedules stop being bit-identical
-   (that is a correctness bug in the window sharding, not drift).
-   The sharded-vs-serial latency comparison only holds on a machine
-   with the same core count the baseline was recorded on; when
-   ``os.cpu_count()`` differs from the baseline's ``cpu_count``, the
-   sharded curve's latency check is skipped with a notice (the serial
-   curve and the bit-identity check still run).
+Re-times one reference simulation — the configuration pinned in
+``results/hotloop_baseline.json`` — under the protocol the baseline was
+recorded with (:func:`measure_hot_loop`), and fails when the
+drift-normalized speedup over the pre-optimization baseline has
+regressed more than ``--max-regression`` (default 25 %) below the
+recorded ``optimized_speedup``.
 
 The guard also fails when the run's cycle count drifts from the
 baseline: a changed cycle count means the detailed model's semantics
@@ -30,97 +17,123 @@ the semantic change is intentional, re-record the baseline and pass
 Exit status: 0 when within budget, 1 on a regression or drift, 2 when
 the measurement itself could not run.
 
-Usage:  python scripts/check_hotloop.py [--max-regression 0.25]
-            [--allow-drift] [--repeats N]
+Usage:  PYTHONPATH=src python scripts/check_hotloop.py
+            [--max-regression 0.25] [--allow-drift] [--repeats N]
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import sys
+import time
+import traceback
+from concurrent.futures import ProcessPoolExecutor
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from repro.analysis.runner import Runner, memory_factory, workload_traces
+from repro.core.fetch import FetchPolicy
+from repro.core.params import SMTConfig
+from repro.core.smt import SMTProcessor
 
-from run_experiments import (  # noqa: E402  (scripts/ is not a package)
-    CACHE_DIR,
-    HOTLOOP_BASELINE,
-    Runner,
-    measure_hot_loop,
-    measure_sampled_point,
-)
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RESULTS_DIR = os.path.join(REPO_ROOT, "results")
+HOTLOOP_BASELINE = os.path.join(RESULTS_DIR, "hotloop_baseline.json")
+#: The experiment sweep's cache directory (``scripts/run_experiments.py``);
+#: the reference run's traces are prebuilt into its trace cache.
+CACHE_DIR = os.path.join(RESULTS_DIR, ".runcache")
 
 
-def check_sampled_point(runner, baseline, max_regression: float) -> int:
-    """Guard the second curve: sampled-point latency, serial and sharded.
+def calibrate() -> float:
+    """Machine-speed calibration: a fixed 2M-iteration integer loop.
 
-    Returns the exit status contribution: 0 when within budget, 1 on a
-    regression or a bit-identity break, 2 when the measurement could
-    not run.
+    The baseline recording timed the same loop, inside a function as
+    here (module level would run on dict lookups and skew the
+    comparison), so the baseline figure can be scaled to this machine's
+    current speed: shared machines drift ±30 % from one run to the next.
     """
-    if "sampled_point" not in baseline:
-        print(
-            "error: baseline has no sampled_point record.\n"
-            "The guard compares the serial and window-sharded latency of "
-            "one sampled simulation point against recorded timings; "
-            "restore results/hotloop_baseline.json from version control "
-            "or re-record it per the protocol in "
-            "run_experiments.measure_sampled_point."
-        )
-        return 2
+    t0 = time.perf_counter()
+    acc = 0
+    for i in range(2_000_000):
+        acc += i ^ (i >> 3)
+    return time.perf_counter() - t0
 
-    record = measure_sampled_point(runner)
-    if record is None:
-        print("sampled-point measurement failed to run")
-        return 2
 
-    if not record["identical"]:
-        print(
-            "sampled point: BIT-IDENTITY BROKEN — the serial and "
-            "window-sharded schedules no longer hash to the same result. "
-            "This is a correctness bug in the window sharding, not a "
-            "timing drift; no tolerance applies."
-        )
-        return 1
+def time_hot_loop(cfg: dict, repeats: int, trace_dir: str | None) -> dict:
+    """Min-of-``repeats`` wall time of the reference run, plus calibration.
 
-    # Each curve is judged against its own baseline, normalized by the
-    # same machine-drift factor.  The serial curve's cost does not
-    # depend on the core count, but the sharded curve's does (pool
-    # dispatch overhead vs actual parallelism), so its latency check is
-    # only like-for-like on a machine with the baseline's core count.
-    baseline_cores = baseline.get(
-        "cpu_count", baseline["sampled_point"].get("cores_recorded")
+    Only ``SMTProcessor`` construction and ``run()`` are timed; loading
+    the prebuilt traces is not.  Runs in a fresh interpreter (see
+    :func:`measure_hot_loop`).
+    """
+    traces = workload_traces(
+        cfg["isa"], cfg["scale"], cfg["seed"], trace_dir
     )
-    curves = ["serial", "sharded"]
-    if baseline_cores is not None and record["cores"] != baseline_cores:
-        curves.remove("sharded")
-        print(
-            f"sampled point [sharded]: latency check skipped — this "
-            f"machine has {record['cores']} cores but the baseline was "
-            f"recorded on {baseline_cores}, so the sharded schedule's "
-            f"cost is not comparable (bit-identity was still checked)"
+    best = cycles = calibration = None
+    for __ in range(repeats):
+        t0 = time.perf_counter()
+        processor = SMTProcessor(
+            SMTConfig(isa=cfg["isa"], n_threads=cfg["n_threads"]),
+            memory_factory(cfg["memory"])(),
+            traces,
+            fetch_policy=FetchPolicy(cfg["fetch_policy"]),
+            completions_target=cfg["completions_target"],
         )
-    factor = record["machine_factor"]
-    status = 0
-    for curve in curves:
-        measured = record[f"{curve}_seconds"]
-        budget = record[f"baseline_{curve}_seconds"] * factor
-        ceiling = budget * (1.0 + max_regression)
-        verdict = "OK" if measured <= ceiling else "REGRESSION"
-        if verdict == "REGRESSION":
-            status = 1
-        print(
-            f"sampled point [{curve}]: {budget:.3f} s baseline -> "
-            f"{measured:.3f} s now (ceiling {ceiling:.3f}, "
-            f"machine drift x{factor:.3f}) [{verdict}]"
+        result = processor.run()
+        elapsed = time.perf_counter() - t0
+        cycles = result.cycles
+        if best is None or elapsed < best:
+            best = elapsed
+        # Interleaved with the simulation repeats so both minima sample
+        # the same load window.
+        elapsed = calibrate()
+        if calibration is None or elapsed < calibration:
+            calibration = elapsed
+    return {"best": best, "cycles": cycles, "calibration": calibration}
+
+
+def measure_hot_loop(baseline: dict, repeats: int = 8) -> dict:
+    """Re-time the reference hot-loop run against the recorded baseline.
+
+    ``baseline`` is the parsed ``results/hotloop_baseline.json``: the
+    pre-optimization wall time of one simulation, its configuration and
+    its measurement protocol.  The traces are prebuilt here, then
+    :func:`time_hot_loop` runs in a fresh interpreter, as the baseline
+    was recorded: timing inside this process would charge its heap to
+    the simulator under test.  Returns the before/after record; its
+    ``speedup`` is ``None`` (with a ``note``) when the cycle count
+    drifted from the baseline.
+    """
+    cfg = baseline["config"]
+    runner = Runner(cache_dir=CACHE_DIR)
+    runner.workload(cfg["isa"], cfg["scale"], cfg["seed"])
+    with ProcessPoolExecutor(
+        max_workers=1, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        measured = pool.submit(
+            time_hot_loop, cfg, repeats, runner.trace_dir
+        ).result()
+    # Scale the recorded baseline by the calibration drift so the ratio
+    # compares simulator versions, not machine moods.
+    machine_factor = measured["calibration"] / baseline["calibration_seconds"]
+    adjusted_before = baseline["before_seconds"] * machine_factor
+    record = {
+        "machine_factor": round(machine_factor, 3),
+        "adjusted_before_seconds": round(adjusted_before, 4),
+        "after_seconds": round(measured["best"], 4),
+        "speedup": round(adjusted_before / measured["best"], 3),
+    }
+    if measured["cycles"] != baseline["cycles"]:
+        # The model changed since the baseline was recorded; the
+        # comparison is no longer like-for-like, so flag that instead
+        # of reporting a bogus speedup.
+        record["speedup"] = None
+        record["note"] = (
+            f"cycle count drifted from the baseline "
+            f"({measured['cycles']} vs {baseline['cycles']})"
         )
-    print(
-        f"sampled point: {record['chunks']} chunks, "
-        f"window_jobs={record['config']['window_jobs']}, "
-        f"{record['cores']} cores, bit-identical=True"
-    )
-    return status
+    return record
 
 
 def main(argv=None) -> int:
@@ -147,7 +160,7 @@ def main(argv=None) -> int:
             "The guard compares current timings against a recorded "
             "pre-optimization run; restore the file from version control "
             "(git checkout -- results/hotloop_baseline.json) or re-record "
-            "it per the protocol in run_experiments.measure_hot_loop."
+            "it per the protocol in check_hotloop.measure_hot_loop."
         )
         return 2
     try:
@@ -164,7 +177,7 @@ def main(argv=None) -> int:
             f"unreadable or malformed ({exc!r}).\n"
             "Restore it from version control "
             "(git checkout -- results/hotloop_baseline.json) or re-record "
-            "it per the protocol in run_experiments.measure_hot_loop."
+            "it per the protocol in check_hotloop.measure_hot_loop."
         )
         return 2
     target = baseline.get("optimized_speedup")
@@ -176,17 +189,18 @@ def main(argv=None) -> int:
         )
         return 2
 
-    runner = Runner(cache_dir=CACHE_DIR)
-    record = measure_hot_loop(runner, args.repeats)
-    if record is None:
+    try:
+        record = measure_hot_loop(baseline, args.repeats)
+    except Exception:
+        traceback.print_exc()
         print("hot-loop measurement failed to run")
         return 2
 
-    if record.get("speedup") is None:
-        print(f"cycle drift: {record.get('note', 'unknown cause')}")
+    if record["speedup"] is None:
+        print(f"cycle drift: {record['note']}")
         if args.allow_drift:
             print("--allow-drift given; skipping the timing comparison")
-            return check_sampled_point(runner, baseline, args.max_regression)
+            return 0
         print(
             "the detailed model changed semantics; re-record "
             f"{os.path.relpath(HOTLOOP_BASELINE)} if this is intentional"
@@ -202,9 +216,7 @@ def main(argv=None) -> int:
         f"floor {floor:.3f}, machine drift x{record['machine_factor']:.3f}) "
         f"[{verdict}]"
     )
-    hot_status = 0 if verdict == "OK" else 1
-    shard_status = check_sampled_point(runner, baseline, args.max_regression)
-    return max(hot_status, shard_status)
+    return 0 if verdict == "OK" else 1
 
 
 if __name__ == "__main__":

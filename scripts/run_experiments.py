@@ -41,7 +41,6 @@ import argparse
 import json
 import os
 import signal
-import subprocess
 import sys
 import threading
 import time
@@ -74,7 +73,6 @@ DEFAULT_SCALE = 1e-4
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS_DIR = os.path.join(REPO_ROOT, "results")
 CACHE_DIR = os.path.join(RESULTS_DIR, ".runcache")
-HOTLOOP_BASELINE = os.path.join(RESULTS_DIR, "hotloop_baseline.json")
 
 
 def scale_tag(scale: float) -> str:
@@ -82,279 +80,6 @@ def scale_tag(scale: float) -> str:
     mantissa, exponent = f"{scale:e}".split("e")
     mantissa = mantissa.rstrip("0").rstrip(".")
     return f"{mantissa}e{int(exponent)}"
-
-
-#: Child body for :func:`measure_hot_loop`.  The baseline figure was
-#: recorded in a fresh interpreter (min over back-to-back repeats), so
-#: the re-measurement runs in one too — timing inside the sweep process
-#: would charge its accumulated heap to the simulator under test.
-_HOTLOOP_CHILD = r"""
-import json, sys, time
-from repro.analysis.runner import memory_factory, workload_traces
-from repro.core.fetch import FetchPolicy
-from repro.core.params import SMTConfig
-from repro.core.smt import SMTProcessor
-
-
-def calibrate():
-    # Machine-speed calibration: the same fixed integer loop the
-    # baseline recording timed (inside a function, as here — module
-    # level would run on dict lookups and skew the comparison), so the
-    # baseline figure can be scaled to this machine's current speed
-    # (shared boxes drift +-30% between sessions).
-    t0 = time.perf_counter()
-    acc = 0
-    for i in range(2_000_000):
-        acc += i ^ (i >> 3)
-    return time.perf_counter() - t0
-
-
-def main():
-    cfg = json.loads(sys.argv[1])
-    traces = workload_traces(
-        cfg["isa"], cfg["scale"], cfg["seed"], cfg["trace_dir"]
-    )
-    best = None
-    cycles = None
-    calibration = None
-    for __ in range(cfg["repeats"]):
-        t0 = time.perf_counter()
-        processor = SMTProcessor(
-            SMTConfig(isa=cfg["isa"], n_threads=cfg["n_threads"]),
-            memory_factory(cfg["memory"])(),
-            traces,
-            fetch_policy=FetchPolicy(cfg["fetch_policy"]),
-            completions_target=cfg["completions_target"],
-        )
-        result = processor.run()
-        elapsed = time.perf_counter() - t0
-        cycles = result.cycles
-        if best is None or elapsed < best:
-            best = elapsed
-        # Interleaved with the simulation repeats so both minima sample
-        # the same load window.
-        elapsed = calibrate()
-        if calibration is None or elapsed < calibration:
-            calibration = elapsed
-    print(json.dumps(
-        {"best": best, "cycles": cycles, "calibration": calibration}
-    ))
-
-
-main()
-"""
-
-
-#: Child body for :func:`measure_sampled_point`: times one sampled
-#: simulation point serial (window_jobs=1) vs window-sharded, in a fresh
-#: interpreter for the same reasons as the hot-loop child, and asserts
-#: the two schedules hash identically (sharding must be a pure
-#: execution-strategy change).
-_SHARDPOINT_CHILD = r"""
-import hashlib, json, os, sys, time
-from dataclasses import replace
-from repro.analysis.runner import (
-    RunRequest, execute_request, result_to_dict, workload_traces,
-)
-from repro.core.smt import sampled_chunk_count
-
-
-def calibrate():
-    # Same fixed loop as the hot-loop child (see its comment).
-    t0 = time.perf_counter()
-    acc = 0
-    for i in range(2_000_000):
-        acc += i ^ (i >> 3)
-    return time.perf_counter() - t0
-
-
-def canonical(result):
-    blob = json.dumps(
-        result_to_dict(result), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def main():
-    cfg = json.loads(sys.argv[1])
-    request = RunRequest(
-        isa=cfg["isa"],
-        n_threads=cfg["n_threads"],
-        memory=cfg["memory"],
-        fetch_policy=cfg["fetch_policy"],
-        scale=cfg["scale"],
-        seed=cfg["seed"],
-        completions_target=cfg["completions_target"],
-        sampling=cfg["sampling"],
-    )
-    trace_dir = cfg["trace_dir"]
-    traces = workload_traces(
-        request.isa, request.scale, request.seed, trace_dir
-    )
-    chunks = sampled_chunk_count(
-        request.sampling, traces, request.completions_target
-    )
-    sharded_request = replace(request, window_jobs=cfg["window_jobs"])
-    serial = sharded = calibration = None
-    serial_hash = sharded_hash = None
-    for __ in range(cfg["repeats"]):
-        t0 = time.perf_counter()
-        result = execute_request(request, trace_dir)
-        elapsed = time.perf_counter() - t0
-        serial_hash = canonical(result)
-        if serial is None or elapsed < serial:
-            serial = elapsed
-        t0 = time.perf_counter()
-        result = execute_request(sharded_request, trace_dir)
-        elapsed = time.perf_counter() - t0
-        sharded_hash = canonical(result)
-        if sharded is None or elapsed < sharded:
-            sharded = elapsed
-        elapsed = calibrate()
-        if calibration is None or elapsed < calibration:
-            calibration = elapsed
-    print(json.dumps({
-        "serial": serial,
-        "sharded": sharded,
-        "chunks": chunks,
-        "serial_hash": serial_hash,
-        "sharded_hash": sharded_hash,
-        "identical": serial_hash == sharded_hash,
-        "calibration": calibration,
-        "cores": os.cpu_count(),
-    }))
-
-
-main()
-"""
-
-
-def _child_env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        path
-        for path in (
-            os.path.join(REPO_ROOT, "src"),
-            os.environ.get("PYTHONPATH"),
-        )
-        if path
-    )
-    return env
-
-
-def measure_sampled_point(
-    runner: Runner, repeats: int = 2
-) -> dict | None:
-    """Re-time the reference sampled point, serial vs window-sharded.
-
-    ``results/hotloop_baseline.json``'s ``sampled_point`` section pins
-    the wall time of one sampled simulation point under both schedules
-    (config + protocol inside).  This re-runs the identical
-    configuration in a fresh subprocess — min over ``repeats`` of
-    ``execute_request`` serial and with the recorded ``window_jobs`` —
-    asserts the two schedules are bit-identical, and returns the
-    before/after record for BENCH_experiments.json and
-    ``scripts/check_hotloop.py``'s second curve.  Returns ``None`` when
-    the baseline has no ``sampled_point`` section or the subprocess
-    fails.
-    """
-    if not os.path.exists(HOTLOOP_BASELINE):
-        return None
-    try:
-        with open(HOTLOOP_BASELINE) as handle:
-            baseline = json.load(handle)["sampled_point"]
-        cfg = baseline["config"]
-    except (OSError, ValueError, KeyError):
-        return None
-    payload = dict(cfg, repeats=repeats, trace_dir=runner.trace_dir)
-    if payload["trace_dir"]:
-        runner.workload(cfg["isa"], cfg["scale"], cfg["seed"])
-    proc = subprocess.run(
-        [sys.executable, "-c", _SHARDPOINT_CHILD, json.dumps(payload)],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
-    )
-    if proc.returncode != 0:
-        return None
-    measured = json.loads(proc.stdout.strip().splitlines()[-1])
-    machine_factor = measured["calibration"] / baseline["calibration_seconds"]
-    return {
-        "config": cfg,
-        "repeats": repeats,
-        "chunks": measured["chunks"],
-        "cores": measured["cores"],
-        "identical": measured["identical"],
-        "machine_factor": round(machine_factor, 3),
-        "baseline_serial_seconds": baseline["serial_seconds"],
-        "baseline_sharded_seconds": baseline["sharded_seconds"],
-        "serial_seconds": round(measured["serial"], 4),
-        "sharded_seconds": round(measured["sharded"], 4),
-        "shard_speedup": round(measured["serial"] / measured["sharded"], 3),
-    }
-
-
-def measure_hot_loop(runner: Runner, repeats: int = 8) -> dict | None:
-    """Re-time the reference hot-loop run against the recorded baseline.
-
-    ``results/hotloop_baseline.json`` pins the pre-optimization wall
-    time of one simulation (config + measurement protocol inside).
-    This runs the identical configuration on the current tree in a
-    fresh subprocess — trace construction is excluded, only
-    SMTProcessor construction + ``run()`` is measured, min over
-    ``repeats`` — and returns the before/after record for
-    BENCH_experiments.json.  Returns ``None`` when no baseline file is
-    present or the subprocess fails (the sweep still completes).
-    """
-    if not os.path.exists(HOTLOOP_BASELINE):
-        return None
-    try:
-        with open(HOTLOOP_BASELINE) as handle:
-            baseline = json.load(handle)
-        cfg = baseline["config"]
-    except (OSError, ValueError, KeyError) as exc:
-        print(
-            f"warning: hot-loop baseline {HOTLOOP_BASELINE} is unreadable "
-            f"({exc!r}); skipping the hot-loop re-measurement",
-            file=sys.stderr,
-        )
-        return None
-    payload = dict(cfg, repeats=repeats, trace_dir=runner.trace_dir)
-    if payload["trace_dir"]:
-        # Warm the on-disk trace cache so the child only deserializes.
-        runner.workload(cfg["isa"], cfg["scale"], cfg["seed"])
-    proc = subprocess.run(
-        [sys.executable, "-c", _HOTLOOP_CHILD, json.dumps(payload)],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
-    )
-    if proc.returncode != 0:
-        return None
-    measured = json.loads(proc.stdout.strip().splitlines()[-1])
-    # Scale the recorded baseline by the calibration drift so the ratio
-    # compares simulator versions, not machine moods.
-    machine_factor = measured["calibration"] / baseline["calibration_seconds"]
-    adjusted_before = baseline["before_seconds"] * machine_factor
-    record = {
-        "config": cfg,
-        "repeats": repeats,
-        "before_seconds": baseline["before_seconds"],
-        "machine_factor": round(machine_factor, 3),
-        "adjusted_before_seconds": round(adjusted_before, 4),
-        "after_seconds": round(measured["best"], 4),
-        "speedup": round(adjusted_before / measured["best"], 3),
-    }
-    if measured["cycles"] != baseline["cycles"]:
-        # The model changed since the baseline was recorded; the
-        # comparison is no longer like-for-like, so flag that instead
-        # of reporting a bogus speedup.
-        record["speedup"] = None
-        record["note"] = (
-            f"cycle count drifted from the baseline "
-            f"({measured['cycles']} vs {baseline['cycles']})"
-        )
-    return record
 
 
 class SweepCheckpoint:
@@ -431,13 +156,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         help="worker processes for cache-missing runs (default 1)",
     )
     parser.add_argument(
-        "--window-jobs", type=int, default=1, metavar="N",
-        help="worker processes per sampled point's measurement windows "
-        "(intra-run parallelism; bit-identical to serial; default 1). "
-        "Complements --jobs: use --jobs for many points in flight, "
-        "--window-jobs to cut the latency of a few large sampled points.",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="skip the on-disk result/trace cache (still dedups in process)",
     )
@@ -479,11 +197,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         "policies (docs/SERVING.md); cached through the same runner",
     )
     parser.add_argument(
-        "--no-hotloop", action="store_true",
-        help="skip the hot-loop re-measurement (used by harnesses that "
-        "run many short sweeps)",
-    )
-    parser.add_argument(
         "--sampling", nargs="?", const="default", default=None,
         metavar="FF,WIN,WARM",
         help="statistical sampling: the bare flag uses the default "
@@ -496,8 +209,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         parser.error("give the scale positionally or via --scale, not both")
     if args.retries < 0:
         parser.error("--retries must be >= 0")
-    if args.window_jobs < 1:
-        parser.error("--window-jobs must be >= 1")
     if args.max_failures is not None and args.max_failures < 1:
         parser.error("--max-failures must be >= 1")
     args.scale = (
@@ -530,12 +241,7 @@ def main(argv=None) -> int:
         max_failures=args.max_failures,
         fail_fast=args.fail_fast,
     )
-    runner = Runner(
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-        resilience=resilience,
-        window_jobs=args.window_jobs,
-    )
+    runner = Runner(jobs=args.jobs, cache_dir=cache_dir, resilience=resilience)
     checkpoint = SweepCheckpoint(
         cache_dir,
         key={
@@ -580,11 +286,7 @@ def main(argv=None) -> int:
         checkpoint.mark(name)
         return result
 
-    def write_bench(
-        status: str,
-        hot_loop: dict | None = None,
-        sampled_point: dict | None = None,
-    ) -> None:
+    def write_bench(status: str) -> None:
         stats = runner.stats
         # Throughput covers cache hits too: cached results carry the
         # wall time of the run that produced them, so a fully-cached
@@ -620,18 +322,6 @@ def main(argv=None) -> int:
                 if throughput_seconds else None
             ),
             "figures": timings,
-        }
-        if hot_loop is not None:
-            bench["hot_loop"] = hot_loop
-        if sampled_point is not None:
-            bench["sampled_point"] = sampled_point
-        # Shard provenance: how many points used intra-run parallelism
-        # and what each one's chunk fan-out cost.
-        bench["window_sharding"] = {
-            "window_jobs": args.window_jobs,
-            "points_sharded": len(runner.window_shard_events),
-            "shards": stats.window_shards,
-            "events": runner.window_shard_events,
         }
         if stall_breakdown is not None:
             bench["stall_breakdown"] = stall_breakdown
@@ -739,38 +429,6 @@ def main(argv=None) -> int:
             f"(paper: {'1%' if isa == 'mmx' else '4%'})"
         )
 
-    if args.no_hotloop:
-        hot_loop = None
-        sampled_point = None
-    else:
-        with profiler.phase("hot_loop"):
-            hot_loop = measure_hot_loop(runner)
-        with profiler.phase("sampled_point"):
-            sampled_point = measure_sampled_point(runner)
-    if hot_loop is not None and hot_loop.get("speedup"):
-        emit(
-            f"\nhot loop (mom/8T/conventional/rr @1e-4): "
-            f"{hot_loop['adjusted_before_seconds']:.2f} s -> "
-            f"{hot_loop['after_seconds']:.2f} s "
-            f"({hot_loop['speedup']:.2f}x vs pre-optimization baseline, "
-            f"machine-drift normalized)"
-        )
-    if sampled_point is not None:
-        # Stdout only: wall clocks vary machine to machine, the report
-        # must not.
-        cfg = sampled_point["config"]
-        print(
-            f"sampled point ({cfg['isa']}/{cfg['n_threads']}T/"
-            f"{cfg['memory']}/{cfg['fetch_policy']} @{cfg['scale']:g}, "
-            f"{sampled_point['chunks']} chunks, "
-            f"window_jobs={sampled_point['config']['window_jobs']}, "
-            f"{sampled_point['cores']} cores): "
-            f"{sampled_point['serial_seconds']:.2f} s serial -> "
-            f"{sampled_point['sharded_seconds']:.2f} s sharded "
-            f"({sampled_point['shard_speedup']:.2f}x, bit-identical="
-            f"{sampled_point['identical']})"
-        )
-
     wall = time.time() - start
     stats = runner.stats
     emit(
@@ -790,7 +448,7 @@ def main(argv=None) -> int:
             handle.write("\n".join(lines) + "\n")
         print(f"report written to {report_path}")
 
-    write_bench("ok", hot_loop, sampled_point)
+    write_bench("ok")
     checkpoint.clear()
     return 0
 

@@ -39,7 +39,6 @@ from repro.analysis.runner import (
 )
 from repro.analysis.serving import (
     ServingRequest,
-    run_serving_batch,
     run_serving_scenario,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "run_fig6_fetch",
     "run_fig8_decoupled",
     "run_fig9_summary",
-    "run_serving_batch",
     "run_serving_scenario",
     "run_stall_breakdown",
     "run_table4_cache",

@@ -34,7 +34,7 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.reporting import format_table, paper_vs_measured
 from repro.analysis.runner import Runner
-from repro.analysis.serving import ServingRequest, run_serving_batch
+from repro.analysis.serving import ServingRequest
 
 #: Scale every golden is recorded at.  2e-5 keeps the whole golden sweep
 #: (fig4 + fig6 + fig8 + the Table 3 trace walk) under ~30 s serial.
@@ -182,7 +182,7 @@ def _serving_metrics(scale: float, runner: Runner) -> dict:
                 policy=policy,
                 scale=scale,
             )
-    results = run_serving_batch(list(requests.values()), runner)
+    results = runner.run_batch(list(requests.values()))
     metrics = {}
     for name, request in requests.items():
         summary = results[request]["summary"]

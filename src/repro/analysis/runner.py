@@ -1,8 +1,9 @@
 """The experiment run engine: fingerprinted, deduplicated, parallel, cached.
 
 Every figure/table driver describes the simulations it needs as
-:class:`RunRequest` values and hands them to a shared :class:`Runner`.
-The runner then
+:class:`RunRequest` values (the serving scenario as
+:class:`~repro.analysis.serving.ServingRequest` values) and hands them
+to a shared :class:`Runner`.  The runner then
 
 * **fingerprints** each request — ISA, thread count, memory system,
   fetch policy, trace scale, seed, completion target, plus a hash of the
@@ -47,11 +48,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields
+from typing import TYPE_CHECKING
 
 import repro
 from repro.analysis.resilience import (
@@ -64,11 +65,7 @@ from repro.verify import faultinject
 from repro.core.fetch import FetchPolicy
 from repro.core.metrics import RunResult
 from repro.core.params import SMTConfig
-from repro.core.smt import (
-    SMTProcessor,
-    merge_sampled_chunks,
-    sampled_chunk_count,
-)
+from repro.core.smt import SMTProcessor
 from repro.memory.decoupled import DecoupledHierarchy
 from repro.memory.hierarchy import ConventionalHierarchy
 from repro.memory.interface import CacheStats, MemoryStats
@@ -182,7 +179,7 @@ def quarantine_entry(path: str, what: str = "result-cache") -> str:
     Returns the quarantine path (``<entry>.corrupt``), or
     ``"(could not be moved)"`` when the rename itself failed.  Callers
     own the bookkeeping (``RunnerStats.corrupt_quarantined`` for the
-    runner and the serving driver).
+    runner).
     """
     quarantined = f"{path}.corrupt"
     try:
@@ -204,9 +201,8 @@ class ResultStore:
 
     One directory of ``<fingerprint>.json`` entries in the
     :func:`write_checked_json` envelope, written by :class:`Runner`
-    for the paper sweeps and by the serving driver
-    (:mod:`repro.analysis.serving`, ``serving-`` prefixed
-    fingerprints).  Every entry has the same payload shape:
+    for the paper sweeps and the serving scenario (``serving-``
+    prefixed fingerprints).  Every entry has the same payload shape:
 
     ``{"result_format", "code_version", "request", "result",
     "sim_seconds", "saved_at"}``
@@ -393,24 +389,6 @@ FINGERPRINT_EXEMPT_CONFIG_FIELDS = {
     ),
 }
 
-#: :class:`RunRequest` fields that intentionally do NOT ride the
-#: fingerprint, mirroring ``FINGERPRINT_EXEMPT_CONFIG_FIELDS`` above.
-#: ``fingerprint`` pops every key listed here from its payload;
-#: ``tests/test_analysis_runner.py`` audits the table (each key must be
-#: a real request field, and requests differing only in an exempt field
-#: must fingerprint — and compare — equal).
-FINGERPRINT_EXEMPT_REQUEST_FIELDS = {
-    "window_jobs": (
-        "measurement-invariant by construction: the sampled schedule is "
-        "chunked identically for every window_jobs value (the chunk "
-        "count is a pure function of config and workload, see "
-        "repro.core.smt.sampled_chunk_count) and merged in fixed chunk "
-        "order, so serial and sharded execution are bit-identical; "
-        "fingerprinting it would fork the result cache on a pure "
-        "execution-strategy knob"
-    ),
-}
-
 
 @dataclass(frozen=True)
 class RunRequest:
@@ -419,6 +397,11 @@ class RunRequest:
     Everything that determines the simulation's outcome is a field here
     (the code version is added by the fingerprint); two equal requests
     are guaranteed to produce bit-identical results.
+
+    :meth:`Runner.run_batch` drives every request kind through four
+    methods: :meth:`fingerprint`, :meth:`execute`, :meth:`decode` and
+    :meth:`work` (:class:`~repro.analysis.serving.ServingRequest` is the
+    other kind).
     """
 
     isa: str
@@ -433,14 +416,6 @@ class RunRequest:
     #: :class:`SMTConfig` and part of the fingerprint: a sampled result
     #: never masquerades as (or shadows) a full-detail one.
     sampling: tuple | None = None
-    #: Worker processes for the sampled run's window chunks (``1`` =
-    #: in-process serial schedule).  An execution-strategy knob, not a
-    #: measurement parameter: excluded from equality/hash (two requests
-    #: differing only here are the *same* simulation point — memo and
-    #: cache must agree) and from the fingerprint (see
-    #: ``FINGERPRINT_EXEMPT_REQUEST_FIELDS``).  Ignored for non-sampled
-    #: runs and for workloads too small to chunk.
-    window_jobs: int = field(default=1, compare=False)
 
     def __post_init__(self):
         # Normalize enum-typed policies so RunRequest("mmx", 1,
@@ -449,7 +424,6 @@ class RunRequest:
         if isinstance(self.fetch_policy, FetchPolicy):
             object.__setattr__(self, "fetch_policy", self.fetch_policy.value)
         object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "window_jobs", max(1, int(self.window_jobs)))
         if self.sampling is not None:
             # Lists (e.g. from JSON round-trips) and tuples must be the
             # same request; tuples also keep the dataclass hashable.
@@ -460,13 +434,42 @@ class RunRequest:
     def fingerprint(self, version: str | None = None) -> str:
         """Stable cache key: request fields + code version + format."""
         payload = asdict(self)
-        for exempt in FINGERPRINT_EXEMPT_REQUEST_FIELDS:
-            payload.pop(exempt, None)
         payload["scale"] = repr(self.scale)
         payload["code_version"] = version or code_version()
         payload["result_format"] = RESULT_FORMAT
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:40]
+
+    def execute(self, trace_dir: str | None = None) -> dict:
+        """Simulate this point; returns its JSON-safe result payload."""
+        return result_to_dict(execute_request(self, trace_dir))
+
+    def decode(self, payload: dict) -> RunResult:
+        """The :class:`RunResult` a stored or returned payload holds."""
+        return result_from_dict(payload)
+
+    def work(self, result: RunResult) -> tuple[int, int]:
+        """``(instructions, cycles)`` the run performed, for throughput.
+
+        A sampled result's ``committed_instructions`` covers only the
+        measurement windows (the quantity its EIPC is defined over); the
+        work the run performed — and the basis of the sampling speedup —
+        is the whole workload it advanced, which the per-program
+        completion ledger records for fast-forwarded and detailed
+        regimes alike.
+        """
+        if result.samples is not None:
+            instructions = int(sum(result.per_program_committed.values()))
+        else:
+            instructions = result.committed_instructions
+        return instructions, result.cycles
+
+
+if TYPE_CHECKING:  # the serving module imports this one
+    from repro.analysis.serving import ServingRequest
+
+    #: The request kinds :meth:`Runner.run_batch` executes.
+    Request = RunRequest | ServingRequest
 
 
 # ------------------------------------------------------------------ results
@@ -539,22 +542,7 @@ def workload_traces(
 def execute_request(
     request: RunRequest, trace_dir: str | None = None
 ) -> RunResult:
-    """Run one simulation point (no result caching at this layer).
-
-    Sampled requests with ``window_jobs > 1`` fan their window chunks
-    out over a process pool (:func:`_execute_request_sharded`) — unless
-    this process is itself a pool worker, in which case nesting pools
-    would oversubscribe the machine and the serial schedule (which is
-    bit-identical anyway) runs instead.
-    """
-    if (
-        request.window_jobs > 1
-        and request.sampling is not None
-        and multiprocessing.parent_process() is None
-    ):
-        sharded = _execute_request_sharded(request, trace_dir)
-        if sharded is not None:
-            return sharded
+    """Run one simulation point (no result caching at this layer)."""
     traces = workload_traces(
         request.isa, request.scale, request.seed, trace_dir
     )
@@ -575,12 +563,13 @@ def execute_request(
 def _pool_execute(args: tuple) -> dict:
     """Worker-process entry point: simulate and return timed plain data.
 
-    ``args`` is ``(request, trace_dir, attempt, fingerprint)`` — the
-    attempt number and fingerprint feed the deterministic fault
-    injection hook (a no-op unless a plan is installed).  The per-run
-    wall time is persisted with the cached result so a later
-    fully-cached sweep can still report the throughput of the
-    simulations that produced its numbers.
+    ``args`` is ``(request, trace_dir, attempt, fingerprint)``;
+    ``request.execute`` simulates the point, of either request kind,
+    and returns its JSON-safe payload.  The attempt number and
+    fingerprint feed the deterministic fault injection hook (a no-op
+    unless a plan is installed).  The per-run wall time is persisted
+    with the cached result so a later fully-cached sweep can still
+    report the throughput of the simulations that produced its numbers.
 
     :meth:`Runner.run_batch` dispatches through this module attribute
     at call time, so a test double installed over it applies.
@@ -588,167 +577,12 @@ def _pool_execute(args: tuple) -> dict:
     request, trace_dir, attempt, fingerprint = args
     faultinject.fire_execution_fault(fingerprint, attempt)
     started = time.perf_counter()
-    result = execute_request(request, trace_dir)
+    result = request.execute(trace_dir)
     return {
         "elapsed": time.perf_counter() - started,
-        "result": result_to_dict(result),
+        "result": result,
         "attempt": attempt,
     }
-
-
-# ------------------------------------------------------------- window shards
-
-#: Resilience policy for intra-run window-shard execution.  Module-level
-#: because pool workers need it importable; :class:`Runner` installs its
-#: own policy here (last runner wins — acceptable for a process-wide
-#: execution knob, and tests monkeypatch it directly).
-_WINDOW_RESILIENCE = ResilienceConfig()
-
-#: Shard provenance drained by :meth:`Runner.run_batch` into BENCH:
-#: one ``{"fingerprint", "chunks", "window_jobs", "shard_seconds",
-#: "wall_seconds"}`` record per sharded point.
-_WINDOW_SHARD_LOG: list[dict] = []
-
-
-@dataclass(frozen=True)
-class _WindowShard:
-    """One window chunk of a sampled request, as a pool task.
-
-    Wraps the base request so the resilience layer can describe and
-    fingerprint it; the properties expose the fields
-    :func:`~repro.analysis.resilience.describe_request` reads.
-    """
-
-    base: RunRequest
-    index: int
-    n_chunks: int
-
-    @property
-    def isa(self) -> str:
-        return self.base.isa
-
-    @property
-    def n_threads(self) -> int:
-        return self.base.n_threads
-
-    @property
-    def memory(self) -> str:
-        return self.base.memory
-
-    @property
-    def fetch_policy(self) -> str:
-        return self.base.fetch_policy
-
-    @property
-    def scale(self) -> float:
-        return self.base.scale
-
-
-def _window_pool_execute(args: tuple) -> dict:
-    """Pool entry point for one window shard (mirrors `_pool_execute`)."""
-    shard, trace_dir, attempt, fingerprint = args
-    faultinject.fire_execution_fault(fingerprint, attempt)
-    request = shard.base
-    started = time.perf_counter()
-    traces = workload_traces(
-        request.isa, request.scale, request.seed, trace_dir
-    )
-    processor = SMTProcessor(
-        SMTConfig(
-            isa=request.isa,
-            n_threads=request.n_threads,
-            sampling=request.sampling,
-        ),
-        memory_factory(request.memory)(),
-        traces,
-        fetch_policy=FetchPolicy(request.fetch_policy),
-        completions_target=request.completions_target,
-    )
-    chunk = processor.run_sampled_chunk(shard.index, shard.n_chunks)
-    return {
-        "elapsed": time.perf_counter() - started,
-        "chunk": chunk,
-        "attempt": attempt,
-    }
-
-
-def _execute_request_sharded(
-    request: RunRequest, trace_dir: str | None = None
-) -> RunResult | None:
-    """Fan a sampled request's window chunks out over a process pool.
-
-    Returns ``None`` when the workload is too small to chunk (the
-    caller falls through to the plain serial path).  Shards execute
-    under the same resilience machinery as whole runs — per-shard
-    timeouts, retries, pool restarts — and merge in fixed chunk order,
-    so the result is bit-identical to the serial schedule no matter how
-    shards are scheduled or which of them had to retry.
-    """
-    traces = workload_traces(
-        request.isa, request.scale, request.seed, trace_dir
-    )
-    n_chunks = sampled_chunk_count(
-        request.sampling, traces, request.completions_target
-    )
-    if n_chunks <= 1:
-        return None
-    base_fingerprint = request.fingerprint()
-    shards = [
-        _WindowShard(base=request, index=index, n_chunks=n_chunks)
-        for index in range(n_chunks)
-    ]
-    chunks: dict[int, dict] = {}
-    shard_seconds = 0.0
-
-    def on_success(shard: _WindowShard, payload: dict) -> None:
-        nonlocal shard_seconds
-        # The same JSON round-trip the whole-run path applies: pooled
-        # and in-process shards hand identical plain data to the merge.
-        chunks[shard.index] = json.loads(json.dumps(payload["chunk"]))
-        shard_seconds += payload["elapsed"]
-
-    executor = ResilientExecutor(
-        _WINDOW_RESILIENCE,
-        min(request.window_jobs, n_chunks),
-        _window_pool_execute,
-        fingerprint_of=lambda shard: f"{base_fingerprint}/w{shard.index}",
-    )
-    started = time.perf_counter()
-    outcomes = executor.execute(shards, trace_dir, on_success)
-    if executor.failed or executor.aborted:
-        raise SweepFailure(outcomes, total=len(shards))
-    _WINDOW_SHARD_LOG.append(
-        {
-            "fingerprint": base_fingerprint,
-            "chunks": n_chunks,
-            "window_jobs": request.window_jobs,
-            "shard_seconds": shard_seconds,
-            "wall_seconds": time.perf_counter() - started,
-        }
-    )
-    return merge_sampled_chunks(
-        SMTConfig(
-            isa=request.isa,
-            n_threads=request.n_threads,
-            sampling=request.sampling,
-        ),
-        FetchPolicy(request.fetch_policy),
-        [chunks[index] for index in range(n_chunks)],
-    )
-
-
-def _instructions_of(result: RunResult) -> int:
-    """Instructions a run actually retired, for throughput accounting.
-
-    A sampled result's ``committed_instructions`` covers only the
-    measurement windows (the quantity its EIPC is defined over); the
-    work the run performed — and the basis of the sampling speedup —
-    is the whole workload it advanced, which the per-program completion
-    ledger records for fast-forwarded and detailed regimes alike.
-    """
-    if result.samples is not None:
-        return int(sum(result.per_program_committed.values()))
-    return result.committed_instructions
 
 
 # ------------------------------------------------------------------ runner
@@ -780,7 +614,6 @@ class RunnerStats:
     failed_points: int = 0         # requests that failed permanently
     corrupt_quarantined: int = 0   # cache entries quarantined as corrupt
     cache_write_errors: int = 0    # results that could not be persisted
-    window_shards: int = 0         # window chunks executed for sharded points
 
     def snapshot(self) -> dict:
         return asdict(self)
@@ -793,7 +626,11 @@ class RunnerStats:
 
 
 class Runner:
-    """Executes batches of run requests with dedup, caching and fan-out.
+    """Executes batches of requests with dedup, caching and fan-out.
+
+    A request is a :class:`RunRequest` (one paper simulation point) or
+    a :class:`~repro.analysis.serving.ServingRequest` (one serving
+    point); both go through :meth:`run_batch`.
 
     Parameters
     ----------
@@ -813,14 +650,6 @@ class Runner:
         The :class:`~repro.analysis.resilience.ResilienceConfig`
         governing timeouts, retries and failure policy for cache-missing
         runs (default: no timeout, 4 attempts, salvage mode).
-    window_jobs:
-        Worker processes for each sampled run's window chunks
-        (intra-run parallelism; see ``RunRequest.window_jobs``).  ``1``
-        keeps the in-process serial schedule.  Complements ``jobs``:
-        use ``jobs`` when a sweep has many points in flight, and
-        ``window_jobs`` to cut the latency of a few large sampled
-        points — inside pool workers sharding auto-disables, so the
-        two never nest.
     """
 
     def __init__(
@@ -829,28 +658,21 @@ class Runner:
         cache_dir: str | None = None,
         version: str | None = None,
         resilience: ResilienceConfig | None = None,
-        window_jobs: int = 1,
     ):
         self.jobs = max(1, int(jobs))
         self.cache_dir = cache_dir
         self.version = version
         self.resilience = resilience or ResilienceConfig()
-        self.window_jobs = max(1, int(window_jobs))
-        #: Shard provenance records drained from the module log after
-        #: each batch (one per sharded point; rides BENCH).
-        self.window_shard_events: list[dict] = []
-        # Shards execute through module-level machinery so pool workers
-        # can import it; install this runner's resilience policy there.
-        global _WINDOW_RESILIENCE
-        _WINDOW_RESILIENCE = self.resilience
         self.stats = RunnerStats()
         #: Per-request execution bookkeeping (status, attempts, failure
         #: records) for every request this runner had to execute.
-        self.outcomes: dict[RunRequest, RunOutcome] = {}
-        self._memo: dict[RunRequest, RunResult] = {}
+        self.outcomes: dict[Request, RunOutcome] = {}
+        #: Each request's result: a :class:`RunResult` for a
+        #: :class:`RunRequest`, the serving result dict for a
+        #: :class:`~repro.analysis.serving.ServingRequest`.
+        self._memo: dict[Request, object] = {}
         self._artifacts: dict[tuple, object] = {}
         #: The on-disk result store (``None`` without a cache dir).
-        #: The serving driver reads and writes through it too.
         self.store: ResultStore | None = (
             ResultStore(cache_dir, version) if cache_dir else None
         )
@@ -863,19 +685,12 @@ class Runner:
             return None
         return self.store.trace_dir
 
-    def _cache_path(self, request: RunRequest) -> str | None:
-        if self.store is None:
-            return None
-        return self.store.path_for(request.fingerprint(self.version))
-
     def _quarantine(self, path: str, what: str) -> None:
         """Move a corrupt cache entry aside, loudly, and count it."""
         quarantine_entry(path, what)
         self.stats.corrupt_quarantined += 1
 
-    def _cache_load(
-        self, request: RunRequest
-    ) -> tuple[RunResult, float] | None:
+    def _cache_load(self, request: Request) -> tuple[object, float] | None:
         """Load a cached result and the wall time that produced it."""
         if self.store is None:
             return None
@@ -886,14 +701,14 @@ class Runner:
         if payload is None:
             return None
         return (
-            result_from_dict(payload["result"]),
+            request.decode(payload["result"]),
             float(payload.get("sim_seconds", 0.0)),
         )
 
     def _cache_store(
         self,
-        request: RunRequest,
-        result: RunResult,
+        request: Request,
+        result_payload: dict,
         elapsed: float,
         attempt: int = 0,
     ) -> None:
@@ -902,7 +717,7 @@ class Runner:
         stored = self.store.store(
             request.fingerprint(self.version),
             asdict(request),
-            result_to_dict(result),
+            result_payload,
             elapsed,
             attempt,
         )
@@ -913,13 +728,11 @@ class Runner:
 
     # ----- execution --------------------------------------------------------
 
-    def run(self, request: RunRequest) -> RunResult:
+    def run(self, request: Request):
         """Execute (or recall) a single request."""
         return self.run_batch([request])[request]
 
-    def run_batch(
-        self, requests: list[RunRequest]
-    ) -> dict[RunRequest, RunResult]:
+    def run_batch(self, requests: list[Request]) -> dict:
         """Execute a batch, deduplicated, in parallel when configured.
 
         Returns a mapping from each distinct request to its result;
@@ -934,15 +747,15 @@ class Runner:
         cached.
         """
         self.stats.requested += len(requests)
-        unique: list[RunRequest] = []
-        seen: set[RunRequest] = set()
+        unique: list[Request] = []
+        seen: set[Request] = set()
         for request in requests:
             if request not in seen:
                 seen.add(request)
                 unique.append(request)
         self.stats.deduplicated += len(requests) - len(unique)
 
-        todo: list[RunRequest] = []
+        todo: list[Request] = []
         for request in unique:
             if request in self._memo:
                 self.stats.memo_hits += 1
@@ -952,43 +765,32 @@ class Runner:
                 result, elapsed = cached
                 self.stats.disk_hits += 1
                 self.stats.cached_sim_seconds += elapsed
-                self.stats.cached_instructions += _instructions_of(result)
+                self.stats.cached_instructions += request.work(result)[0]
                 self._memo[request] = result
                 continue
             todo.append(request)
 
         if todo:
-            if self.window_jobs > 1:
-                # Equality/hash ignore window_jobs, so the rewritten
-                # requests stay valid keys for the memo and the result
-                # mapping returned to the caller.
-                todo = [
-                    replace(request, window_jobs=self.window_jobs)
-                    for request in todo
-                ]
             started = time.perf_counter()
             trace_dir = self.trace_dir
             version = self.version
-            # Stale shard events from direct execute_request callers
-            # must not be attributed to this batch.
-            del _WINDOW_SHARD_LOG[:]
 
-            def on_success(request: RunRequest, payload: dict) -> None:
+            def on_success(request: Request, payload: dict) -> None:
                 # Every result passes through the same round-trip the
                 # disk cache uses, so cold/warm and serial/parallel runs
                 # are bit-identical by construction.  Called as soon as
                 # the run completes: the cache entry lands before any
                 # other run finishes, which is what makes a SIGKILLed
                 # sweep resumable from every completed point.
-                result = result_from_dict(
-                    json.loads(json.dumps(payload["result"]))
-                )
+                result_payload = json.loads(json.dumps(payload["result"]))
+                result = request.decode(result_payload)
+                instructions, cycles = request.work(result)
                 self.stats.simulated += 1
-                self.stats.sim_instructions += _instructions_of(result)
-                self.stats.sim_cycles += result.cycles
+                self.stats.sim_instructions += instructions
+                self.stats.sim_cycles += cycles
                 self._memo[request] = result
                 self._cache_store(
-                    request, result, payload["elapsed"],
+                    request, result_payload, payload["elapsed"],
                     payload.get("attempt", 0),
                 )
 
@@ -999,16 +801,6 @@ class Runner:
                 fingerprint_of=lambda request: request.fingerprint(version),
             )
             outcomes = executor.execute(todo, trace_dir, on_success)
-            if _WINDOW_SHARD_LOG:
-                # Only the in-process path (jobs == 1) reaches the log:
-                # pool workers shard nothing, and their module state
-                # would not be visible here anyway.
-                events = list(_WINDOW_SHARD_LOG)
-                del _WINDOW_SHARD_LOG[:]
-                self.window_shard_events.extend(events)
-                self.stats.window_shards += sum(
-                    event["chunks"] for event in events
-                )
             self.stats.sim_seconds += time.perf_counter() - started
             self.stats.retries += executor.retries
             self.stats.timeouts += executor.timeouts

@@ -2,12 +2,12 @@
 
 `run_serving_scenario` sweeps the serving grid — ISA × architecture
 (wide SMT vs CMP×SMT) × memory hierarchy × admission policy — through
-the same fingerprint/runcache/resilience machinery the paper figures
-use: serving results are pure functions of a :class:`ServingRequest`,
-cold/warm and serial/parallel sweeps are bit-identical (the same JSON
-round-trip discipline as ``Runner.run_batch``), and cache entries share
-the runner's :class:`~repro.analysis.runner.ResultStore` (fingerprints
-are ``serving-`` prefixed so the two families never collide).
+``Runner.run_batch``, the same dedup/runcache/resilience path the paper
+figures use: serving results are pure functions of a
+:class:`ServingRequest`, cold/warm and serial/parallel sweeps are
+bit-identical, and cache entries share the runner's
+:class:`~repro.analysis.runner.ResultStore` (fingerprints are
+``serving-`` prefixed so the two families never collide).
 
 The fingerprint covers the simulation code version *plus* a hash of the
 ``repro.serving`` package source (which is not part of
@@ -21,11 +21,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from dataclasses import asdict, dataclass
 
 from repro.analysis.reporting import format_table
-from repro.analysis.resilience import ResilientExecutor, SweepFailure
 from repro.analysis.runner import RESULT_FORMAT, Runner, code_version, workload_traces
 from repro.serving.admission import ADMISSION_POLICIES, AdmissionController
 from repro.serving.metering import meter_result
@@ -37,7 +35,6 @@ from repro.serving.simulator import (
 )
 from repro.tracegen.program import DEFAULT_SCALE
 from repro.tracegen.serialize import TraceCache
-from repro.verify import faultinject
 from repro.workloads.mediabench import (
     WORKLOAD_ORDER,
     build_stream_trace_variants,
@@ -149,6 +146,19 @@ class ServingRequest:
         payload["result_format"] = RESULT_FORMAT
         blob = json.dumps(payload, sort_keys=True).encode()
         return "serving-" + hashlib.sha256(blob).hexdigest()[:40]
+
+    def execute(self, trace_dir: str | None = None) -> dict:
+        """Run this serving point; returns the metered result dict."""
+        return execute_serving_request(self, trace_dir)
+
+    def decode(self, payload: dict) -> dict:
+        """Serving results are plain JSON data: the payload itself."""
+        return payload
+
+    def work(self, result: dict) -> tuple[int, int]:
+        """``(instructions, cycles)`` the run performed, for throughput."""
+        summary = result["summary"]
+        return summary["committed_instructions"], summary["cycles"]
 
 
 #: In-process memo for stream trace variants (bounded like the runner's
@@ -266,108 +276,6 @@ def execute_serving_request(
     return result
 
 
-def serving_pool_execute(args: tuple) -> dict:
-    """Worker entry point (module-level, so pool workers can import it)."""
-    request, trace_dir, attempt, fingerprint = args
-    faultinject.fire_execution_fault(fingerprint, attempt)
-    started = time.perf_counter()
-    result = execute_serving_request(request, trace_dir)
-    return {
-        "elapsed": time.perf_counter() - started,
-        "result": result,
-        "attempt": attempt,
-    }
-
-
-def run_serving_batch(
-    requests: list[ServingRequest], runner: Runner
-) -> dict[ServingRequest, dict]:
-    """Execute a serving batch with the runner's cache and resilience.
-
-    The exact ``run_batch`` discipline: dedup, memo, disk hits, then
-    cache-missing points through the resilient executor with every
-    result JSON-round-tripped before use — cold/warm and serial/parallel
-    sweeps are bit-identical by construction.  Raises
-    :class:`~repro.analysis.resilience.SweepFailure` after salvaging
-    every completable point, like ``run_batch``.
-    """
-    runner.stats.requested += len(requests)
-    unique: list[ServingRequest] = []
-    seen: set[ServingRequest] = set()
-    for request in requests:
-        if request not in seen:
-            seen.add(request)
-            unique.append(request)
-    runner.stats.deduplicated += len(requests) - len(unique)
-    memo: dict[ServingRequest, dict] = runner.__dict__.setdefault(
-        "serving_memo", {}
-    )
-    version = runner.version
-    serving_version = serving_code_version()
-
-    todo: list[ServingRequest] = []
-    for request in unique:
-        if request in memo:
-            runner.stats.memo_hits += 1
-            continue
-        if runner.store is not None:
-            payload, status = runner.store.load(
-                request.fingerprint(version, serving_version)
-            )
-            if status == "corrupt":
-                runner.stats.corrupt_quarantined += 1
-            if payload is not None:
-                memo[request] = payload["result"]
-                runner.stats.disk_hits += 1
-                runner.stats.cached_sim_seconds += float(
-                    payload.get("sim_seconds", 0.0)
-                )
-                continue
-        todo.append(request)
-
-    if todo:
-        started = time.perf_counter()
-
-        def on_success(request: ServingRequest, payload: dict) -> None:
-            result = json.loads(json.dumps(payload["result"]))
-            runner.stats.simulated += 1
-            runner.stats.sim_cycles += result["summary"]["cycles"]
-            runner.stats.sim_instructions += result["summary"][
-                "committed_instructions"
-            ]
-            memo[request] = result
-            if runner.store is not None:
-                stored = runner.store.store(
-                    request.fingerprint(version, serving_version),
-                    asdict(request),
-                    result,
-                    payload["elapsed"],
-                    payload.get("attempt", 0),
-                )
-                if not stored:
-                    runner.stats.cache_write_errors += 1
-
-        executor = ResilientExecutor(
-            runner.resilience,
-            runner.jobs,
-            serving_pool_execute,
-            fingerprint_of=lambda request: request.fingerprint(
-                version, serving_version
-            ),
-        )
-        outcomes = executor.execute(todo, runner.trace_dir, on_success)
-        runner.stats.sim_seconds += time.perf_counter() - started
-        runner.stats.retries += executor.retries
-        runner.stats.timeouts += executor.timeouts
-        runner.stats.pool_breaks += executor.pool_breaks
-        runner.stats.degraded += executor.degraded
-        runner.stats.failed_points += executor.failed
-        if executor.failed or executor.aborted:
-            raise SweepFailure(outcomes, total=len(todo))
-
-    return {request: memo[request] for request in unique}
-
-
 def _arch_label(arch: str, cores: int, contexts: int) -> str:
     if arch == "smt":
         return f"smt-{contexts}T"
@@ -413,7 +321,7 @@ def run_serving_scenario(
                             seed=seed,
                         )
                     )
-    results = run_serving_batch(requests, runner)
+    results = runner.run_batch(requests)
 
     measured = {}
     for request, result in results.items():

@@ -160,10 +160,10 @@ def _ff_plan(trace: Trace) -> tuple:
 # cut into up to _MAX_WINDOW_CHUNKS equal slices, and each slice executes
 # the ff/warmup/window/drain loop independently after reconstructing its
 # architectural start state (functional skim + a warmed final stretch).
-# Chunks are pure functions of (config, workload, chunk index), so they
-# can run serially in one process or fan out over a process pool; either
-# way the merged result is bit-identical because it is the *same* chunk
-# tasks combined by the same deterministic merge.
+# Chunks are pure functions of (config, workload, chunk index) and run
+# back to back in one process, combined by a deterministic merge.  The
+# chunk count and each chunk's start state are part of what a sampled
+# result measures, so every pinned sampled result depends on them.
 
 #: Upper bound on window chunks per sampled run (diminishing returns —
 #: reconstruction overhead is paid once per chunk).
@@ -174,8 +174,8 @@ _MAX_WINDOW_CHUNKS = 16
 _PERIODS_PER_CHUNK = 3
 
 #: Fewer chunks than this and the run keeps the plain single-chunk
-#: schedule: chunking exists to expose parallelism, and a 2-3-way split
-#: adds a reconstruction per chunk for very little of it.
+#: schedule: a 2-3-way split would add a start-state reconstruction per
+#: chunk to runs too short to need one.
 _MIN_WINDOW_CHUNKS = 4
 
 #: Warm horizon of a chunk's start-state reconstruction, in sampling
@@ -213,9 +213,8 @@ def sampled_chunk_count(
 ) -> int:
     """Window chunks a sampled run splits into (1 = the plain schedule).
 
-    A pure function of the configuration and workload — deliberately
-    independent of ``window_jobs`` — so the schedule (and therefore the
-    result) never depends on how many workers execute it.
+    A pure function of the configuration and workload, so the schedule
+    (and therefore the result) is fixed by the request alone.
     """
     ff_len, window_len, warmup_len, expected = _sampled_geometry(
         sampling, traces, completions_target
@@ -237,11 +236,9 @@ def merge_sampled_chunks(
     """Combine :meth:`SMTProcessor.run_sampled_chunk` payloads.
 
     Samples concatenate and counters sum in ascending chunk order, so
-    the merge is deterministic regardless of completion order (float
-    addition is order-sensitive; fixing the order makes serial and
-    pooled execution bit-identical).  ``program_completions`` comes from
-    the last chunk: its scheduler ran the workload tail to completion,
-    so its count covers the whole run.
+    the merge is deterministic (float addition is order-sensitive).
+    ``program_completions`` comes from the last chunk: its scheduler ran
+    the workload tail to completion, so its count covers the whole run.
     """
     chunks = sorted(chunks, key=lambda chunk: chunk["index"])
     samples: list[list] = []
@@ -1163,10 +1160,10 @@ class SMTProcessor:
 
         Every window chunk starts from this state before reconstructing
         its own position, so a chunk's result is identical whether the
-        processor is freshly built (pool worker) or reused across chunks
-        (serial in-process schedule).  Long-lived structures that carry
-        sanitizer/observer references (graduation window, issue queues,
-        memory hierarchy) are reset in place; the rest are rebuilt.
+        processor is freshly built or reused across chunks.  Long-lived
+        structures that carry sanitizer/observer references (graduation
+        window, issue queues, memory hierarchy) are reset in place; the
+        rest are rebuilt.
         """
         config = self.config
         old = self.scheduler
@@ -1269,9 +1266,8 @@ class SMTProcessor:
         over the final :data:`_WARM_SPAN_PERIODS` sampling periods),
         then runs the standard ff/warmup/window/drain loop until the
         chunk's committed-instruction boundary.  The returned payload is
-        a plain JSON-safe dict so it survives a process-pool round trip;
-        :func:`merge_sampled_chunks` combines the payloads into the
-        final :class:`RunResult`.
+        a plain dict; :func:`merge_sampled_chunks` combines the payloads
+        into the final :class:`RunResult`.
 
         A chunk may overshoot its boundary by a partial period — the
         next chunk reconstructs to its own exact boundary regardless, so
@@ -1370,10 +1366,7 @@ class SMTProcessor:
 
         The schedule is *chunked* (see :func:`sampled_chunk_count`): the
         run executes as a deterministic sequence of independent window
-        chunks, merged in chunk order.  Running the same chunks in a
-        process pool (``RunRequest.window_jobs``) therefore produces a
-        bit-identical result — the parallel path is this method with the
-        loop body farmed out.
+        chunks, back to back in this process, merged in chunk order.
         """
         scheduler = self.scheduler
         n_chunks = sampled_chunk_count(

@@ -177,8 +177,8 @@ class MemorySystem:
         state), preserving attached sanitizer/observer hooks.
 
         Window-chunked sampled runs (:mod:`repro.core.smt`) call this
-        between chunks so a reused in-process hierarchy behaves exactly
-        like a freshly built one in a pool worker.  The base
+        between chunks so a reused hierarchy behaves exactly like a
+        freshly built one.  The base
         implementation suffices for stateless models (perfect memory);
         hierarchies override it to rebuild their tag/MSHR/DRAM state.
         """

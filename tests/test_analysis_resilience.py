@@ -559,71 +559,3 @@ class TestRunnerResilience:
         runner.run(tiny())
         assert runner.stats.retries == 0
         assert runner.outcomes[tiny()].attempts == 1
-
-
-class TestWindowShardResilience:
-    """Chaos against intra-run window shards: kills and hangs of
-    individual shards must never move the merged result by a bit."""
-
-    #: Sampling small enough that the 1.2e-5 workload chunks (K > 1).
-    SAMPLING = (1000, 200, 50)
-
-    def sampled(self) -> RunRequest:
-        return tiny(sampling=self.SAMPLING)
-
-    def test_request_actually_chunks(self):
-        from repro.analysis.runner import workload_traces
-        from repro.core.smt import sampled_chunk_count
-
-        request = self.sampled()
-        traces = workload_traces(request.isa, request.scale)
-        assert (
-            sampled_chunk_count(
-                request.sampling, traces, request.completions_target
-            )
-            > 1
-        ), "chaos coverage needs a genuinely multi-shard schedule"
-
-    def test_crashed_shards_retry_to_a_bit_identical_merge(self, tmp_path):
-        reference = Runner().run(self.sampled())
-
-        # Every shard's attempt 0 dies (os._exit in the pool worker);
-        # the shard executor must retry each one and merge the reruns
-        # into exactly the serial result.
-        faultinject.install(FaultPlan(crash_fraction=1.0))
-        runner = Runner(
-            cache_dir=str(tmp_path), resilience=FAST, window_jobs=2
-        )
-        result = runner.run(self.sampled())
-        assert result == reference
-        assert runner.stats.window_shards > 1
-        assert runner.window_shard_events[0]["chunks"] > 1
-
-    def test_hung_shards_converge_bit_identically(self, tmp_path):
-        reference = Runner().run(self.sampled())
-
-        # Every shard's attempt 0 stalls past the 1-second deadline;
-        # pooled shards are killed and retried, degraded-serial ones
-        # just sit out the 3-second sleep — either way the merged
-        # result must be exactly the serial one.
-        faultinject.install(
-            FaultPlan(hang_fraction=1.0, hang_seconds=3.0)
-        )
-        runner = Runner(
-            cache_dir=str(tmp_path),
-            resilience=fast(timeout=1.0),
-            window_jobs=2,
-        )
-        result = runner.run(self.sampled())
-        assert result == reference
-        assert runner.stats.window_shards > 1
-
-    def test_shard_log_isolated_per_batch(self, tmp_path):
-        # A runner's shard provenance covers its own batches only.
-        first = Runner(cache_dir=str(tmp_path), window_jobs=2)
-        first.run(self.sampled())
-        events = list(first.window_shard_events)
-        assert len(events) == 1
-        again = Runner(window_jobs=2)
-        again.run(self.sampled())
-        assert len(first.window_shard_events) == len(events)

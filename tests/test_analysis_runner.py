@@ -15,10 +15,8 @@ from repro.analysis.runner import (
     memory_factory,
     result_from_dict,
     result_to_dict,
-    workload_traces,
 )
 from repro.core.fetch import FetchPolicy
-from repro.core.smt import sampled_chunk_count
 from repro.memory.hierarchy import ConventionalHierarchy
 from repro.memory.perfect import PerfectMemory
 from repro.tracegen.serialize import load_trace, save_trace
@@ -71,70 +69,6 @@ class TestRunRequest:
         assert memory_factory("conventional") is ConventionalHierarchy
         with pytest.raises(ValueError):
             memory_factory("imaginary")
-
-
-class TestWindowJobsExemption:
-    """window_jobs is audited out of the fingerprint, not forgotten.
-
-    The sampled schedule chunks identically for every window_jobs value
-    (sampled_chunk_count is a pure function of config and workload) and
-    merges in fixed chunk order, so serial and sharded execution are
-    bit-identical — fingerprinting the knob would fork the result cache
-    on a pure execution strategy.  These tests pin that choice: the
-    exemption table stays honest, and equality/hash/fingerprint all
-    agree that two requests differing only in window_jobs are the same
-    simulation point.
-    """
-
-    def test_exempt_table_lists_real_request_fields(self):
-        from repro.analysis.runner import FINGERPRINT_EXEMPT_REQUEST_FIELDS
-
-        names = {field.name for field in dataclasses.fields(RunRequest)}
-        for name, rationale in FINGERPRINT_EXEMPT_REQUEST_FIELDS.items():
-            assert name in names, f"stale exemption entry {name!r}"
-            assert rationale and isinstance(rationale, str)
-        assert "window_jobs" in FINGERPRINT_EXEMPT_REQUEST_FIELDS
-
-    def test_window_jobs_not_in_fingerprint(self):
-        assert (
-            tiny(window_jobs=4).fingerprint("v") == tiny().fingerprint("v")
-        )
-
-    def test_window_jobs_not_in_equality_or_hash(self):
-        assert tiny(window_jobs=4) == tiny()
-        assert hash(tiny(window_jobs=4)) == hash(tiny())
-
-    def test_window_jobs_normalized(self):
-        assert tiny(window_jobs=0).window_jobs == 1
-        assert tiny(window_jobs="3").window_jobs == 3
-
-    def test_replace_preserves_identity(self):
-        request = tiny(sampling=(1000, 200, 50))
-        rewritten = dataclasses.replace(request, window_jobs=8)
-        assert rewritten == request
-        assert rewritten.window_jobs == 8
-        assert rewritten.fingerprint("v") == request.fingerprint("v")
-
-    def test_cold_sharded_runner_fans_out_every_chunk(self, tmp_path):
-        request = tiny(sampling=(1000, 200, 50))
-        n_chunks = sampled_chunk_count(
-            request.sampling,
-            workload_traces(request.isa, request.scale, request.seed),
-            request.completions_target,
-        )
-        assert n_chunks > 1, "the request must genuinely chunk"
-        runner = Runner(cache_dir=str(tmp_path), window_jobs=2)
-        runner.run(request)
-        assert runner.stats.simulated == 1
-        assert runner.stats.window_shards == n_chunks
-
-    def test_sharded_runner_hits_the_serial_cache_slot(self, tmp_path):
-        request = tiny(sampling=(1000, 200, 50))
-        Runner(cache_dir=str(tmp_path)).run(request)
-        warm = Runner(cache_dir=str(tmp_path), window_jobs=2)
-        warm.run(request)
-        assert warm.stats.simulated == 0
-        assert warm.stats.disk_hits == 1
 
 
 class TestResultRoundTrip:

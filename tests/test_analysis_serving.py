@@ -10,15 +10,18 @@ import json
 
 import pytest
 
+from repro.analysis.resilience import ResilienceConfig, SweepFailure
 from repro.analysis.runner import Runner
 from repro.analysis.serving import (
     SERVING_FORMAT,
     ServingRequest,
     execute_serving_request,
-    run_serving_batch,
     run_serving_scenario,
     serving_code_version,
 )
+from repro.serving.admission import ADMISSION_POLICIES
+from repro.verify import faultinject
+from repro.verify.faultinject import FaultPlan
 
 SCALE = 1.2e-5
 
@@ -87,13 +90,18 @@ class TestCacheDiscipline:
     def test_cold_warm_bit_identity(self, tmp_path):
         request = small_request()
         cold_runner = Runner(cache_dir=str(tmp_path))
-        cold = run_serving_batch([request], cold_runner)[request]
+        cold = cold_runner.run_batch([request])[request]
         assert cold_runner.stats.simulated == 1
 
         warm_runner = Runner(cache_dir=str(tmp_path))
-        warm = run_serving_batch([request], warm_runner)[request]
+        warm = warm_runner.run_batch([request])[request]
         assert warm_runner.stats.simulated == 0
         assert warm_runner.stats.disk_hits == 1
+        # A warm sweep's throughput counts the cached points' work too.
+        assert cold_runner.stats.sim_instructions > 0
+        assert warm_runner.stats.cached_instructions == (
+            cold_runner.stats.sim_instructions
+        )
         assert json.dumps(cold, sort_keys=True) == json.dumps(
             warm, sort_keys=True
         )
@@ -101,24 +109,36 @@ class TestCacheDiscipline:
     def test_memo_and_dedup(self):
         runner = Runner()
         request = small_request()
-        first = run_serving_batch([request, request], runner)
+        first = runner.run_batch([request, request])
         assert runner.stats.simulated == 1
         assert runner.stats.deduplicated == 1
-        second = run_serving_batch([request], runner)
+        second = runner.run_batch([request])
         assert runner.stats.memo_hits == 1
         assert runner.stats.simulated == 1
         assert first[request] == second[request]
 
     def test_serial_equals_parallel(self, tmp_path):
         requests = [small_request(), small_request(isa="mom")]
-        serial = run_serving_batch(requests, Runner())
+        serial = Runner().run_batch(requests)
         parallel_runner = Runner(jobs=2, cache_dir=str(tmp_path))
-        parallel = run_serving_batch(requests, parallel_runner)
+        parallel = parallel_runner.run_batch(requests)
         assert parallel_runner.stats.simulated == 2
         for request in requests:
             assert json.dumps(serial[request], sort_keys=True) == json.dumps(
                 parallel[request], sort_keys=True
             )
+
+    def test_failed_point_is_recorded_in_outcomes(self):
+        request = small_request()
+        faultinject.install(FaultPlan(crash_fraction=1.0))
+        try:
+            runner = Runner(resilience=ResilienceConfig(max_attempts=1))
+            with pytest.raises(SweepFailure):
+                runner.run_batch([request])
+        finally:
+            faultinject.install(None)
+        assert runner.stats.failed_points == 1
+        assert runner.outcomes[request].status == "failed"
 
     def test_result_carries_provenance(self):
         result = execute_serving_request(small_request())
@@ -150,6 +170,19 @@ class TestScenario:
         for token in ("smt-8T", "cmp-4x2T", "rr", "least", "affinity"):
             assert token in scenario.report
         assert "best admission policy" in scenario.report
+
+    def test_admission_policies_place_streams_differently(self, scenario):
+        # The CMP x SMT grid genuinely exercises placement: the three
+        # policies give at least two distinct results per ISA.
+        for isa in ("mmx", "mom"):
+            by_policy = {
+                request.policy: json.dumps(result, sort_keys=True)
+                for request, result in scenario.runs.items()
+                if (request.isa, request.arch, request.memory)
+                == (isa, "cmp", "conventional")
+            }
+            assert sorted(by_policy) == sorted(ADMISSION_POLICIES)
+            assert len(set(by_policy.values())) >= 2, isa
 
     def test_scenario_is_deterministic(self, scenario):
         again = run_serving_scenario(

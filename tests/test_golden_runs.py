@@ -78,7 +78,7 @@ def test_unknown_experiment_rejected():
         compute_golden_metrics("fig99")
 
 
-# ----- sharded-vs-serial sampled pins ----------------------------------------
+# ----- chunked sampled pins -------------------------------------------------
 
 
 def load_bitident():
@@ -95,16 +95,15 @@ def canonical_sha256(result):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(load_bitident()["sharded_runs"]))
-def test_sharded_sampled_runs_reproduce_serial_hashes(name):
-    """window_jobs > 1 must reproduce the pinned serial hash exactly.
+@pytest.mark.parametrize("name", sorted(load_bitident()["chunked_runs"]))
+def test_chunked_sampled_runs_reproduce_pinned_hashes(name):
+    """A multi-chunk sampled run must reproduce its pinned hash exactly.
 
-    Runs each pinned configuration twice — the serial schedule and a
-    two-worker sharded one — and asserts both match the recorded
-    canonical hash: same samples, same CI inputs, same everything.
+    The sampled pin in ``runs`` runs a single chunk; these
+    configurations split into several, so they pin chunk boundaries,
+    start-state reconstruction and the chunk merge: same samples, same
+    CI inputs, same everything.
     """
-    from dataclasses import replace
-
     from repro.analysis.runner import (
         RunRequest,
         execute_request,
@@ -112,7 +111,7 @@ def test_sharded_sampled_runs_reproduce_serial_hashes(name):
     )
     from repro.core.smt import sampled_chunk_count
 
-    pinned = load_bitident()["sharded_runs"][name]
+    pinned = load_bitident()["chunked_runs"][name]
     request = RunRequest(**pinned["request"])
     traces = workload_traces(request.isa, request.scale, request.seed)
     n_chunks = sampled_chunk_count(
@@ -120,26 +119,23 @@ def test_sharded_sampled_runs_reproduce_serial_hashes(name):
     )
     assert n_chunks == pinned["n_chunks"], (
         "the pinned configuration no longer chunks as recorded — the "
-        "sharded pins must exercise a genuinely multi-chunk schedule"
+        "chunked pins must exercise a genuinely multi-chunk schedule"
     )
     assert n_chunks > 1
 
-    serial = execute_request(request)
-    assert canonical_sha256(serial) == pinned["result_sha256"]
-    assert serial.cycles == pinned["cycles"]
-    assert serial.committed_instructions == pinned["committed_instructions"]
-
-    sharded = execute_request(replace(request, window_jobs=2))
-    assert canonical_sha256(sharded) == pinned["result_sha256"]
+    result = execute_request(request)
+    assert canonical_sha256(result) == pinned["result_sha256"]
+    assert result.cycles == pinned["cycles"]
+    assert result.committed_instructions == pinned["committed_instructions"]
 
 
-def test_sharded_pins_pin_their_fingerprints():
+def test_chunked_pins_pin_their_fingerprints():
     # Frozen under the pinned version so unrelated source edits don't
     # churn this file — only a deliberate request-schema change does.
     document = load_bitident()
     from repro.analysis.runner import RunRequest
 
-    for name, pinned in document["sharded_runs"].items():
+    for name, pinned in document["chunked_runs"].items():
         request = RunRequest(**pinned["request"])
         assert (
             request.fingerprint(document["pinned_version"])

@@ -76,100 +76,6 @@ class TestCheckHotloopGuards:
         assert "optimized_speedup" in out
 
 
-class TestSampledPointCoreCountSkip:
-    """The sharded latency check only runs on a matching core count.
-
-    The baseline's sharded curve was recorded on a known core count
-    (``cpu_count`` in results/hotloop_baseline.json); on any other
-    machine the pool-dispatch-vs-parallelism tradeoff differs, so the
-    sharded comparison is skipped with a notice while the serial curve
-    and the bit-identity check still run.
-    """
-
-    BASELINE = {
-        "cpu_count": 1,
-        "sampled_point": {
-            "config": {"window_jobs": 4},
-            "serial_seconds": 2.0,
-            "sharded_seconds": 3.0,
-            "calibration_seconds": 0.1,
-            "cores_recorded": 1,
-        },
-    }
-
-    def record(self, cores, sharded_seconds=3.0):
-        return {
-            "config": {"window_jobs": 4},
-            "chunks": 8,
-            "cores": cores,
-            "identical": True,
-            "machine_factor": 1.0,
-            "baseline_serial_seconds": 2.0,
-            "baseline_sharded_seconds": 3.0,
-            "serial_seconds": 2.0,
-            "sharded_seconds": sharded_seconds,
-            "shard_speedup": 2.0 / sharded_seconds,
-        }
-
-    def run_check(self, monkeypatch, record):
-        monkeypatch.setattr(
-            check_hotloop, "measure_sampled_point", lambda runner: record
-        )
-        return check_hotloop.check_sampled_point(
-            None, self.BASELINE, max_regression=0.25
-        )
-
-    def test_matching_cores_checks_both_curves(
-        self, monkeypatch, capsys
-    ):
-        status = self.run_check(monkeypatch, self.record(cores=1))
-        out = capsys.readouterr().out
-        assert status == 0
-        assert "[serial]" in out and "[sharded]" in out
-        assert "skipped" not in out
-
-    def test_mismatched_cores_skips_only_the_sharded_curve(
-        self, monkeypatch, capsys
-    ):
-        # A wildly regressed sharded time must NOT fail on a 4-core
-        # box when the baseline was recorded on 1 core.
-        status = self.run_check(
-            monkeypatch, self.record(cores=4, sharded_seconds=50.0)
-        )
-        out = capsys.readouterr().out
-        assert status == 0
-        assert "latency check skipped" in out
-        assert "[serial]" in out
-        assert "4 cores" in out and "recorded on 1" in out
-
-    def test_mismatched_cores_still_guards_serial_and_identity(
-        self, monkeypatch, capsys
-    ):
-        record = self.record(cores=4)
-        record["identical"] = False
-        assert self.run_check(monkeypatch, record) == 1
-        assert "BIT-IDENTITY BROKEN" in capsys.readouterr().out
-
-
-class TestMeasureHotLoopGuard:
-    def test_malformed_baseline_returns_none_with_warning(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        baseline = tmp_path / "hotloop_baseline.json"
-        baseline.write_text("{torn")
-        monkeypatch.setattr(
-            run_experiments, "HOTLOOP_BASELINE", str(baseline)
-        )
-        assert run_experiments.measure_hot_loop(runner=None) is None
-        assert "unreadable" in capsys.readouterr().err
-
-    def test_missing_baseline_is_silent_none(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            run_experiments, "HOTLOOP_BASELINE", str(tmp_path / "none.json")
-        )
-        assert run_experiments.measure_hot_loop(runner=None) is None
-
-
 class TestSweepCheckpoint:
     KEY = {"scale": "1e-05", "sampling": None, "code_version": "v1"}
 
@@ -315,7 +221,7 @@ class TestResilienceSummaryLine:
         _stub_all_figures(monkeypatch)
         rc = run_experiments.main([
             "1e-5", "--cache-dir", str(tmp_path / "cache"),
-            "--output", "-", "--no-hotloop",
+            "--output", "-",
         ])
         assert rc == 0
         out = capsys.readouterr().out
