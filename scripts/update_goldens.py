@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate (or check) the golden-run regression baselines.
 
-``tests/golden/{table3,fig4,fig6,fig8}.json`` lock each experiment's
-headline metrics at smoke scale (2e-5) with tolerance bands;
-``tests/test_golden_runs.py`` re-measures them on every run of the
-suite.  After a deliberate modelling change moves a headline number,
-regenerate with:
+``tests/golden/<experiment>.json`` lock each experiment's headline
+metrics at smoke scale (2e-5) with tolerance bands, one file per entry
+of ``repro.analysis.goldens.EXPERIMENTS`` (table3, fig4, fig5, table4,
+fig6, fig8, fig9, serving); ``tests/test_golden_runs.py`` re-measures
+them on every run of the suite.  After a deliberate modelling change
+moves a headline number, regenerate with:
 
     PYTHONPATH=src python scripts/update_goldens.py
 

@@ -3,7 +3,6 @@
 from repro.analysis.experiments import (
     DEFAULT_SAMPLING,
     ExperimentResult,
-    figure_requests,
     resolve_sampling,
     run_breakdown_table3,
     run_fig4_ideal,
@@ -55,7 +54,6 @@ __all__ = [
     "SweepFailure",
     "verify_cache",
     "resolve_sampling",
-    "figure_requests",
     "sweep_requests",
     "ExperimentResult",
     "run_breakdown_table3",

@@ -2,8 +2,9 @@
 
 Each ``run_*`` function reproduces one experiment of section 5 and
 returns an :class:`ExperimentResult` holding the measured series, the
-paper's series and a formatted report.  The benchmark harness under
-``benchmarks/`` calls these; the examples reuse them interactively.
+paper's series and a formatted report.  ``scripts/run_experiments.py``
+writes the full report from them, ``repro.analysis.goldens`` locks
+their headline metrics, and the examples reuse them interactively.
 
 All drivers accept an optional :class:`repro.analysis.runner.Runner`.
 When several figures share one runner (as ``scripts/run_experiments.py``
@@ -109,6 +110,106 @@ def simulate(
     )
 
 
+# ------------------------------------------------------------ figure points
+#
+# One builder per figure, keyed the way its driver reads the results.
+# The driver submits the batch and sweep_requests enumerates it, so the
+# two cannot disagree.
+
+#: The fetch policies figures 6 and 8 compare.  OCOUNT counts stream
+#: operations, which only MOM has.
+FETCH_POLICIES = {
+    "mmx": (FetchPolicy.RR, FetchPolicy.ICOUNT, FetchPolicy.BALANCE),
+    "mom": (
+        FetchPolicy.RR,
+        FetchPolicy.ICOUNT,
+        FetchPolicy.OCOUNT,
+        FetchPolicy.BALANCE,
+    ),
+}
+
+#: The memory organisations figure 9 compares.
+FIG9_MEMORIES = ("perfect", "conventional", "decoupled")
+
+
+def _fig4_requests(scale, threads, sampling) -> dict:
+    return {
+        (isa, n): RunRequest(
+            isa, n, memory="perfect", scale=scale, sampling=sampling
+        )
+        for isa in ISAS
+        for n in threads
+    }
+
+
+def _fig5_requests(scale, threads, sampling) -> dict:
+    # Table 4 reads the same runs.
+    return {
+        (isa, n): RunRequest(
+            isa, n, memory="conventional", scale=scale, sampling=sampling
+        )
+        for isa in ISAS
+        for n in threads
+    }
+
+
+def _fetch_requests(memory, scale, threads, sampling) -> dict:
+    # Figure 6 (conventional) and figure 8 (decoupled).
+    return {
+        (isa, policy.value, n): RunRequest(
+            isa, n, memory=memory, fetch_policy=policy.value, scale=scale,
+            sampling=sampling,
+        )
+        for isa in ISAS
+        for policy in FETCH_POLICIES[isa]
+        for n in threads
+    }
+
+
+def _fig9_requests(scale, threads, sampling) -> dict:
+    return {
+        (isa, memory, n): RunRequest(
+            isa, n, memory=memory, scale=scale, completions_target=16,
+            sampling=sampling,
+        )
+        for isa in ISAS
+        for memory in FIG9_MEMORIES
+        for n in threads
+    }
+
+
+def _run_keyed(runner: Runner, requests: dict) -> dict:
+    """Run a keyed batch; returns each result under its request's key."""
+    results = runner.run_batch(list(requests.values()))
+    return {key: results[request] for key, request in requests.items()}
+
+
+def sweep_requests(
+    scale: float = DEFAULT_SCALE,
+    sampling=None,
+    threads=THREAD_SWEEP,
+) -> list[RunRequest]:
+    """Every figure's simulation points, deduplicated, in the order the
+    drivers submit them.
+
+    ``table3`` and the stall breakdown are not here: they are derived
+    artifacts in the runner's artifact cache, not run points.
+    """
+    sampling = resolve_sampling(sampling)
+    batches = (
+        _fig4_requests(scale, threads, sampling),
+        _fig5_requests(scale, threads, sampling),
+        _fetch_requests("conventional", scale, threads, sampling),
+        _fetch_requests("decoupled", scale, threads, sampling),
+        _fig9_requests(scale, threads, sampling),
+    )
+    return list(
+        dict.fromkeys(
+            request for batch in batches for request in batch.values()
+        )
+    )
+
+
 # --------------------------------------------------------------------- Table 3
 
 def run_breakdown_table3(
@@ -195,15 +296,7 @@ def run_fig4_ideal(
     """Performance with perfect cache (paper figure 4)."""
     runner = runner or Runner()
     sampling = resolve_sampling(sampling)
-    requests = {
-        (isa, n): RunRequest(
-            isa, n, memory="perfect", scale=scale, sampling=sampling
-        )
-        for isa in ISAS
-        for n in threads
-    }
-    results = runner.run_batch(list(requests.values()))
-    runs = {key: results[req] for key, req in requests.items()}
+    runs = _run_keyed(runner, _fig4_requests(scale, threads, sampling))
     measured = {
         isa: {n: runs[(isa, n)].eipc for n in threads} for isa in ISAS
     }
@@ -248,15 +341,7 @@ def run_fig5_real(
     ideal = ideal or run_fig4_ideal(
         scale=scale, threads=threads, runner=runner, sampling=sampling
     )
-    requests = {
-        (isa, n): RunRequest(
-            isa, n, memory="conventional", scale=scale, sampling=sampling
-        )
-        for isa in ISAS
-        for n in threads
-    }
-    results = runner.run_batch(list(requests.values()))
-    runs = {key: results[req] for key, req in requests.items()}
+    runs = _run_keyed(runner, _fig5_requests(scale, threads, sampling))
     measured = {
         isa: {n: runs[(isa, n)].eipc for n in threads} for isa in ISAS
     }
@@ -317,17 +402,10 @@ def run_table4_cache(
     if fig5 is not None:
         runs = fig5.runs
     else:
-        runner = runner or Runner()
-        requests = {
-            (isa, n): RunRequest(
-                isa, n, memory="conventional", scale=scale,
-                sampling=resolve_sampling(sampling),
-            )
-            for isa in ISAS
-            for n in threads
-        }
-        results = runner.run_batch(list(requests.values()))
-        runs = {key: results[req] for key, req in requests.items()}
+        runs = _run_keyed(
+            runner or Runner(),
+            _fig5_requests(scale, threads, resolve_sampling(sampling)),
+        )
     measured = {"icache_hit": {}, "l1_hit": {}, "l1_latency": {}}
     for isa in ISAS:
         for metric in measured:
@@ -376,30 +454,13 @@ def run_fig6_fetch(
     """
     runner = runner or Runner()
     sampling = resolve_sampling(sampling)
-    policies = {
-        "mmx": (FetchPolicy.RR, FetchPolicy.ICOUNT, FetchPolicy.BALANCE),
-        "mom": (
-            FetchPolicy.RR,
-            FetchPolicy.ICOUNT,
-            FetchPolicy.OCOUNT,
-            FetchPolicy.BALANCE,
-        ),
-    }
-    requests = {
-        (isa, policy.value, n): RunRequest(
-            isa, n, memory=memory, fetch_policy=policy.value, scale=scale,
-            sampling=sampling,
-        )
-        for isa in ISAS
-        for policy in policies[isa]
-        for n in threads
-    }
-    results = runner.run_batch(list(requests.values()))
-    runs = {key: results[req] for key, req in requests.items()}
+    runs = _run_keyed(
+        runner, _fetch_requests(memory, scale, threads, sampling)
+    )
     measured = {
         isa: {
             policy.value: {n: runs[(isa, policy.value, n)].eipc for n in threads}
-            for policy in policies[isa]
+            for policy in FETCH_POLICIES[isa]
         }
         for isa in ISAS
     }
@@ -591,22 +652,11 @@ def run_fig9_summary(
     """
     runner = runner or Runner()
     sampling = resolve_sampling(sampling)
-    memories = ("perfect", "conventional", "decoupled")
-    requests = {
-        (isa, memory, n): RunRequest(
-            isa, n, memory=memory, scale=scale, completions_target=16,
-            sampling=sampling,
-        )
-        for isa in ISAS
-        for memory in memories
-        for n in threads
-    }
-    results = runner.run_batch(list(requests.values()))
-    runs = {key: results[req] for key, req in requests.items()}
+    runs = _run_keyed(runner, _fig9_requests(scale, threads, sampling))
     measured = {
         isa: {
             memory: {n: runs[(isa, memory, n)].eipc for n in threads}
-            for memory in memories
+            for memory in FIG9_MEMORIES
         }
         for isa in ISAS
     }
@@ -650,95 +700,3 @@ def run_fig9_summary(
         runs=runs,
         report=report,
     )
-
-
-# ------------------------------------------------- sweep enumeration
-
-
-def figure_requests(
-    scale: float = DEFAULT_SCALE,
-    sampling=None,
-    threads=THREAD_SWEEP,
-) -> dict[str, list[RunRequest]]:
-    """Every figure's simulation points, as buildable requests.
-
-    The exact batches the drivers above submit, keyed by figure, so a
-    caller can enumerate the whole working set without running a
-    driver (``tests/test_analysis_reporting.py`` holds the drivers to
-    this).
-    ``table3`` and the stall breakdown are derived *artifacts* (they
-    reuse these runs' trace caches, not runcache points), so they do
-    not appear here; a report generated from a cache populated by
-    these requests performs zero simulations.
-    """
-    sampling = resolve_sampling(sampling)
-    policies = {
-        "mmx": (FetchPolicy.RR, FetchPolicy.ICOUNT, FetchPolicy.BALANCE),
-        "mom": (
-            FetchPolicy.RR,
-            FetchPolicy.ICOUNT,
-            FetchPolicy.OCOUNT,
-            FetchPolicy.BALANCE,
-        ),
-    }
-    figures: dict[str, list[RunRequest]] = {}
-    figures["fig4"] = [
-        RunRequest(isa, n, memory="perfect", scale=scale, sampling=sampling)
-        for isa in ISAS
-        for n in threads
-    ]
-    figures["fig5"] = [
-        RunRequest(
-            isa, n, memory="conventional", scale=scale, sampling=sampling
-        )
-        for isa in ISAS
-        for n in threads
-    ]
-    # Table 4 measures cache behaviour on figure 5's exact runs.
-    figures["table4"] = list(figures["fig5"])
-    for name, memory in (("fig6", "conventional"), ("fig8", "decoupled")):
-        figures[name] = [
-            RunRequest(
-                isa, n, memory=memory, fetch_policy=policy.value,
-                scale=scale, sampling=sampling,
-            )
-            for isa in ISAS
-            for policy in policies[isa]
-            for n in threads
-        ]
-    figures["fig9"] = [
-        RunRequest(
-            isa, n, memory=memory, scale=scale, completions_target=16,
-            sampling=sampling,
-        )
-        for isa in ISAS
-        for memory in ("perfect", "conventional", "decoupled")
-        for n in threads
-    ]
-    return figures
-
-
-def sweep_requests(
-    scale: float = DEFAULT_SCALE,
-    sampling=None,
-    threads=THREAD_SWEEP,
-    figures=None,
-) -> list[RunRequest]:
-    """Deduplicated union of the figures' points, in submission order.
-
-    ``figures`` optionally restricts the sweep to a subset of figure
-    names (unknown names raise ``KeyError``).
-    """
-    by_figure = figure_requests(scale, sampling, threads)
-    if figures is None:
-        selected = list(by_figure)
-    else:
-        selected = list(figures)
-    seen: set[RunRequest] = set()
-    ordered: list[RunRequest] = []
-    for name in selected:
-        for request in by_figure[name]:
-            if request not in seen:
-                seen.add(request)
-                ordered.append(request)
-    return ordered

@@ -2,9 +2,13 @@
 
 Each golden file under ``tests/golden/`` freezes the headline metrics of
 one experiment — Table 3's instruction-count totals, figure 4's
-SMT/MOM speedups, figures 6 and 8's fetch-policy gains — as measured at
-scale :data:`GOLDEN_SCALE` (2e-5, the smoke-test fidelity: the full
-golden sweep simulates in seconds).  Every metric carries a tolerance
+SMT/MOM speedups, figure 5's real-memory degradation and 4-thread bend,
+Table 4's cache behaviour, figures 6 and 8's fetch-policy gains, figure
+9's memory organisations and headline speedups, and the serving
+scenario's capacity — as measured at scale :data:`GOLDEN_SCALE` (2e-5,
+the smoke-test fidelity: the full golden sweep simulates in seconds).
+Each figure's metrics are computed through its driver in
+:mod:`repro.analysis.experiments`.  Every metric carries a tolerance
 band; a run outside its band fails ``tests/test_golden_runs.py`` with a
 side-by-side golden/measured/paper diff, so an unintended modelling
 change is caught at the number it moved, not three figures downstream.
@@ -30,22 +34,29 @@ from repro.analysis import paper
 from repro.analysis.experiments import (
     run_breakdown_table3,
     run_fig4_ideal,
+    run_fig5_real,
     run_fig6_fetch,
+    run_fig9_summary,
+    run_table4_cache,
 )
 from repro.analysis.reporting import format_table, paper_vs_measured
-from repro.analysis.runner import Runner
+from repro.analysis.runner import RunRequest, Runner
 from repro.analysis.serving import ServingRequest
 
 #: Scale every golden is recorded at.  2e-5 keeps the whole golden sweep
-#: (fig4 + fig6 + fig8 + the Table 3 trace walk) under ~30 s serial.
+#: (every experiment below) at about 20 s serial on a 2-vCPU host.
 GOLDEN_SCALE = 2e-5
 
 #: Thread counts the golden sweeps use: the 1T baseline and the 8T
 #: headline point.  Intermediate counts add runtime, not coverage — the
-#: locked ratios only involve the endpoints.
+#: locked ratios involve the endpoints.  The one exception is figure 5's
+#: "4 threads >= 8 threads" bend, which adds one conventional 4T point
+#: per ISA.
 GOLDEN_THREADS = (1, 8)
 
-EXPERIMENTS = ("table3", "fig4", "fig6", "fig8", "serving")
+EXPERIMENTS = (
+    "table3", "fig4", "fig5", "table4", "fig6", "fig8", "fig9", "serving",
+)
 
 #: Default tolerance bands (see module docstring for the rationale).
 REL_TOL = 0.02       # absolute metrics: EIPC, Minst totals, mix shares
@@ -130,6 +141,46 @@ def _fig4_metrics(scale: float, runner: Runner) -> dict:
     return metrics
 
 
+def _fig5_metrics(scale: float, runner: Runner) -> dict:
+    measured = run_fig5_real(
+        scale=scale, threads=GOLDEN_THREADS, runner=runner
+    ).measured
+    eipc = measured["eipc"]
+    # Figure 5's bend: 8 threads gain little or nothing over 4.
+    four = runner.run_batch(
+        [RunRequest(isa, 4, memory="conventional", scale=scale)
+         for isa in ("mmx", "mom")]
+    )
+    eipc_4t = {request.isa: result.eipc for request, result in four.items()}
+    metrics = {}
+    for isa in ("mmx", "mom"):
+        for n in GOLDEN_THREADS:
+            metrics[f"eipc_{isa}_{n}t"] = _metric(eipc[isa][n], rel_tol=REL_TOL)
+        metrics[f"mean_degradation_{isa}"] = _metric(
+            measured["degradation"][isa], paper.FIG5_DEGRADATION[isa],
+            abs_tol=GAIN_ABS_TOL,
+        )
+        metrics[f"eipc_{isa}_8t_over_4t"] = _metric(
+            eipc[isa][8] / eipc_4t[isa], rel_tol=REL_TOL
+        )
+    return metrics
+
+
+def _table4_metrics(scale: float, runner: Runner) -> dict:
+    measured = run_table4_cache(
+        scale=scale, threads=GOLDEN_THREADS, runner=runner
+    ).measured
+    return {
+        f"{name}_{isa}_{n}t": _metric(
+            measured[name][isa][n], paper.TABLE4[name][isa][n],
+            rel_tol=REL_TOL,
+        )
+        for name in paper.TABLE4
+        for isa in ("mmx", "mom")
+        for n in GOLDEN_THREADS
+    }
+
+
 def _fetch_policy_metrics(memory: str, scale: float, runner: Runner) -> dict:
     result = run_fig6_fetch(
         scale=scale, threads=GOLDEN_THREADS, memory=memory, runner=runner
@@ -150,6 +201,28 @@ def _fetch_policy_metrics(memory: str, scale: float, runner: Runner) -> dict:
             paper_gain = paper.FIG8_MAX_POLICY_GAIN_MOM if isa == "mom" else None
         metrics[f"best_policy_gain_{isa}_8t"] = _metric(
             gain[isa], paper_gain, abs_tol=GAIN_ABS_TOL
+        )
+    return metrics
+
+
+def _fig9_metrics(scale: float, runner: Runner) -> dict:
+    measured = run_fig9_summary(
+        scale=scale, threads=GOLDEN_THREADS, runner=runner
+    ).measured
+    metrics = {}
+    for isa in ("mmx", "mom"):
+        for memory, series in measured["eipc"][isa].items():
+            for n in GOLDEN_THREADS:
+                metrics[f"eipc_{isa}_{memory}_{n}t"] = _metric(
+                    series[n], rel_tol=REL_TOL
+                )
+        summary = measured["summary"][isa]
+        metrics[f"decoupled_degradation_{isa}_8t"] = _metric(
+            summary["degradation"], paper.FIG9_DEGRADATION[isa],
+            abs_tol=GAIN_ABS_TOL,
+        )
+        metrics[f"speedup_{isa}_8t_over_mmx_1t"] = _metric(
+            summary["speedup"], paper.SUMMARY_SPEEDUP[isa], rel_tol=REL_TOL
         )
     return metrics
 
@@ -201,12 +274,15 @@ def _serving_metrics(scale: float, runner: Runner) -> dict:
 _COMPUTE = {
     "table3": _table3_metrics,
     "fig4": _fig4_metrics,
+    "fig5": _fig5_metrics,
+    "table4": _table4_metrics,
     "fig6": lambda scale, runner: _fetch_policy_metrics(
         "conventional", scale, runner
     ),
     "fig8": lambda scale, runner: _fetch_policy_metrics(
         "decoupled", scale, runner
     ),
+    "fig9": _fig9_metrics,
     "serving": _serving_metrics,
 }
 

@@ -382,7 +382,6 @@ FINGERPRINT_EXEMPT_CONFIG_FIELDS = {
     "issue_int": "structural constant (paper §3); code-version covered",
     "issue_mem": "structural constant (paper §3); code-version covered",
     "issue_fp": "structural constant (paper §3); code-version covered",
-    "vector_lanes": "structural constant (paper §3); code-version covered",
     "decode_buffer": "structural constant (paper §3); code-version covered",
     "mispredict_redirect": (
         "structural constant (paper §3); code-version covered"

@@ -87,12 +87,14 @@ def cmp_core_resources(contexts: int = 1) -> Resources:
 def cmp_core_config(isa: str, contexts: int = 1) -> SMTConfig:
     """The configuration of one CMP core.
 
-    Narrower than the SMT machine everywhere: one 4-instruction fetch
-    group, half the issue bandwidth, one µ-SIMD FU (or a single-lane MOM
-    pipe) — the "simple processors" CMP proposals join on a die.  With
-    ``contexts > 1`` the core is itself a small SMT (the CMP×SMT design
-    point the serving scenario sweeps): pipeline widths stay fixed,
-    shared resources scale per :func:`cmp_core_resources`.
+    Narrower than the SMT machine in fetch and issue: one 4-instruction
+    fetch group, half the issue bandwidth and one µ-SIMD FU — the
+    "simple processors" CMP proposals join on a die.  The MOM vector
+    unit keeps the SMT machine's two pipes; every CMP serving result is
+    recorded with them.  With ``contexts > 1`` the core is itself a
+    small SMT (the CMP×SMT design point the serving scenario sweeps):
+    pipeline widths stay fixed, shared resources scale per
+    :func:`cmp_core_resources`.
     """
     return SMTConfig(
         isa=isa,
@@ -105,7 +107,6 @@ def cmp_core_config(isa: str, contexts: int = 1) -> SMTConfig:
         issue_mem=2,
         issue_fp=2,
         issue_simd=1,
-        vector_lanes=2,
         resources=cmp_core_resources(contexts),
     )
 

@@ -4,8 +4,9 @@ The paper sized physical register files and instruction windows by
 preliminary simulation "to achieve reasonable (near saturation) processor
 performance for 1, 2, 4 and 8 threads" (their Table 1, largely illegible
 in the scanned copy).  ``scaled_resources`` encodes our equivalent sizing,
-validated by the saturation-sweep ablation bench
-(``benchmarks/bench_table1_scaling.py``).
+validated by the 8-thread saturation sweep in
+``tests/test_core_components.py`` (``TestParams``): halving the
+resources costs more than doubling them gains.
 """
 
 from __future__ import annotations
@@ -105,8 +106,6 @@ class SMTConfig:
     issue_fp: int = 4
     #: SIMD queue issue width: 2 for MMX (two FUs), 1 for MOM.
     issue_simd: int = field(default=-1)
-    #: Parallel pipes of the MOM vector unit (sub-instructions per cycle).
-    vector_lanes: int = 2
     decode_buffer: int = 16
     mispredict_redirect: int = 3
     resources: Resources = field(default=None)

@@ -403,7 +403,7 @@ class SMTProcessor:
             traces, config.n_threads, completions_target=completions_target
         )
         self.predictor = GsharePredictor()
-        self.vector_unit = VectorUnit(config.vector_lanes)
+        self.vector_unit = VectorUnit()
         sizes = config.resources.queue_sizes
         self.queues = {
             Queue.INT: IssueQueue("int", sizes["int"]),
@@ -1172,7 +1172,7 @@ class SMTProcessor:
             completions_target=old.completions_target,
         )
         self.predictor = GsharePredictor()
-        self.vector_unit = VectorUnit(config.vector_lanes)
+        self.vector_unit = VectorUnit()
         for queue in self.queues.values():
             queue.occupancy = 0
             queue.ready.clear()

@@ -153,14 +153,13 @@ class L2Cache:
 class L1DataCache:
     """32 KB direct-mapped write-through L1 with MSHRs and write buffer."""
 
-    def __init__(self, l2: L2Cache, config: CacheConfig = L1_DATA,
-                 write_buffer_depth: int = 8):
+    def __init__(self, l2: L2Cache, config: CacheConfig = L1_DATA):
         self.config = config
         self.l2 = l2
         self.tags = TagArray(config.n_sets, config.assoc)
         self.stats = CacheStats()
         self.mshr = MshrFile(config.mshrs)
-        self.write_buffer = WriteBuffer(depth=write_buffer_depth)
+        self.write_buffer = WriteBuffer()
         self._bank_free = [0] * config.banks
         self._line_shift = config.line_shift
         self._latency = config.latency

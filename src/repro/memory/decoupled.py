@@ -45,7 +45,6 @@ class DecoupledHierarchy(MemorySystem):
         self,
         n_scalar_ports: int = 2,
         n_vector_ports: int = 2,
-        write_buffer_depth: int = 8,
         dram: RambusChannel | None = None,
         l2: L2Cache | None = None,
     ):
@@ -54,9 +53,7 @@ class DecoupledHierarchy(MemorySystem):
         # default builds a private one, as ConventionalHierarchy does.
         self.dram = dram or (l2.dram if l2 is not None else RambusChannel())
         self.l2 = l2 or L2Cache(self.dram)
-        self.l1 = L1DataCache(
-            self.l2, config=L1_DECOUPLED, write_buffer_depth=write_buffer_depth
-        )
+        self.l1 = L1DataCache(self.l2, config=L1_DECOUPLED)
         self.icache = InstructionCache(self.l2)
         self._scalar_ports = [0] * n_scalar_ports
         self._vector_ports = [0] * n_vector_ports
@@ -273,7 +270,6 @@ class DecoupledHierarchy(MemorySystem):
         self.__init__(
             n_scalar_ports=len(self._scalar_ports),
             n_vector_ports=len(self._vector_ports),
-            write_buffer_depth=self.l1.write_buffer.depth,
             dram=RambusChannel(
                 latency=self.dram.latency,
                 bytes_per_cycle=self.dram.bytes_per_cycle,

@@ -31,16 +31,13 @@ class ConventionalHierarchy(MemorySystem):
         self,
         n_ports: int = 4,
         l1_config: CacheConfig = L1_DATA,
-        write_buffer_depth: int = 8,
         dram: RambusChannel | None = None,
         l2: L2Cache | None = None,
     ):
         super().__init__()
         self.dram = dram or (l2.dram if l2 is not None else RambusChannel())
         self.l2 = l2 or L2Cache(self.dram)
-        self.l1 = L1DataCache(
-            self.l2, config=l1_config, write_buffer_depth=write_buffer_depth
-        )
+        self.l1 = L1DataCache(self.l2, config=l1_config)
         self.icache = InstructionCache(self.l2)
         self._ports = [0] * n_ports
         # Expose sub-cache statistics through the common container.
@@ -253,7 +250,6 @@ class ConventionalHierarchy(MemorySystem):
         self.__init__(
             n_ports=len(self._ports),
             l1_config=self.l1.config,
-            write_buffer_depth=self.l1.write_buffer.depth,
             dram=dram,
             l2=L2Cache(dram, config=self.l2.config),
         )

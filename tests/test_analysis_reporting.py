@@ -101,9 +101,10 @@ class TestDrivers:
     ):
         # Every executed point is recorded and answered with one canned
         # real result, so the drivers run end to end without simulating
-        # their sweep.  The enumeration must match what they submit: an
-        # extra or missing point would be simulated by whoever collects
-        # a sweep's results from sweep_requests after its drivers ran.
+        # their sweep.  The enumeration must match what they submit, in
+        # order: an extra or missing point would be simulated by whoever
+        # collects a sweep's results from sweep_requests after its
+        # drivers ran.
         canned = runner_module._pool_execute(
             (RunRequest("mmx", 1, memory="perfect", scale=FAST_SCALE),
              None, 0, "canned")
@@ -123,9 +124,26 @@ class TestDrivers:
         run_fig8_decoupled(scale=FAST_SCALE, runner=runner)
         run_fig9_summary(scale=FAST_SCALE, runner=runner)
 
-        enumerated = sweep_requests(FAST_SCALE)
-        assert len(enumerated) == len(set(enumerated))
-        assert set(executed) == set(enumerated)
+        assert executed == sweep_requests(FAST_SCALE)
+
+    def test_headline_ratio_converges_across_scales(self):
+        # The MOM/MMX EIPC ratio the comparisons rest on, and MMX IPC,
+        # over a 4x trace-scale span at 4 threads on the conventional
+        # hierarchy.  The two larger scales, where cold effects are
+        # amortized, must agree closely.  Larger scales are not checked.
+        ratios, mmx_ipc = [], []
+        for scale in (2e-5, 4e-5, 8e-5):
+            mmx = simulate("mmx", 4, memory="conventional", scale=scale)
+            mom = simulate("mom", 4, memory="conventional", scale=scale)
+            ratios.append(mom.eipc / mmx.eipc)
+            mmx_ipc.append(mmx.ipc)
+
+        def spread(values):
+            return max(values) / min(values) - 1
+
+        assert spread(ratios) < 0.25, ratios
+        assert spread(ratios[-2:]) < 0.10, ratios
+        assert spread(mmx_ipc) < 0.35, mmx_ipc
 
     def test_table3_driver_report(self):
         result = run_breakdown_table3(scale=FAST_SCALE)

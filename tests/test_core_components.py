@@ -3,12 +3,16 @@
 import pytest
 
 from repro.core.branch import GsharePredictor
+from repro.core.cmp import cmp_core_config
 from repro.core.execute import VectorUnit
 from repro.core.fetch import FetchPolicy, order_threads
-from repro.core.params import SMTConfig, scaled_resources
+from repro.core.params import Resources, SMTConfig, scaled_resources
 from repro.core.queues import IssueQueue
 from repro.core.rob import GraduationWindow
+from repro.core.smt import SMTProcessor
 from repro.isa.registers import RegisterClass
+from repro.memory import PerfectMemory
+from repro.workloads import build_workload_traces
 
 
 class _Entry:
@@ -223,12 +227,52 @@ class TestParams:
         assert scaled_resources(3) == scaled_resources(4)
         assert scaled_resources(16) == scaled_resources(8)
 
+    def test_8_thread_resources_sit_near_saturation(self):
+        # Table 1 sizes each thread count "to achieve reasonable (near
+        # saturation) processor performance": at 8 threads, doubling
+        # every resource buys little, and halving costs more.
+        def scaled(factor):
+            base = scaled_resources(8)
+            return Resources(
+                rename_regs={
+                    cls: max(8, int(count * factor))
+                    for cls, count in base.rename_regs.items()
+                },
+                queue_sizes={
+                    name: max(8, int(size * factor))
+                    for name, size in base.queue_sizes.items()
+                },
+                graduation_window=max(
+                    16, int(base.graduation_window * factor)
+                ),
+            )
+
+        for isa in ("mmx", "mom"):
+            traces = build_workload_traces(isa, scale=2e-5)
+            eipc = {
+                factor: SMTProcessor(
+                    SMTConfig(isa=isa, n_threads=8, resources=scaled(factor)),
+                    PerfectMemory(),
+                    traces,
+                ).run().eipc
+                for factor in (0.5, 1.0, 2.0)
+            }
+            gain_up = eipc[2.0] / eipc[1.0] - 1
+            loss_down = 1 - eipc[0.5] / eipc[1.0]
+            assert gain_up < 0.15, (isa, eipc)
+            assert loss_down > gain_up - 0.02, (isa, eipc)
+
     def test_mmx_config_issue_width_2(self):
         assert SMTConfig(isa="mmx").issue_simd == 2
 
     def test_mom_config_issue_width_1(self):
         assert SMTConfig(isa="mom").issue_simd == 1
-        assert SMTConfig(isa="mom").vector_lanes == 2
+        # The MOM vector unit has two pipes, on a CMP core too: every
+        # CMP serving pin was recorded with two.
+        traces = build_workload_traces("mom", scale=2e-5)
+        for config in (SMTConfig(isa="mom"), cmp_core_config("mom")):
+            processor = SMTProcessor(config, PerfectMemory(), traces)
+            assert processor.vector_unit.lanes == 2
 
     def test_fetch_width(self):
         assert SMTConfig().fetch_width == 8

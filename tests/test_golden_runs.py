@@ -1,10 +1,13 @@
 """Golden-run regression suite: headline ratios stay inside their bands.
 
-``tests/golden/{table3,fig4,fig6,fig8}.json`` freeze the experiments'
-headline metrics at smoke scale (see ``repro.analysis.goldens``).  Each
-test re-measures one experiment and fails with a golden/measured/paper
-diff table when any metric leaves its tolerance band.  Regenerate after
-a *deliberate* modelling change with ``scripts/update_goldens.py``.
+``tests/golden/<experiment>.json``, one file per entry of
+``repro.analysis.goldens.EXPERIMENTS`` (Tables 3 and 4, figures 4, 5,
+6, 8 and 9, and the serving scenario), freeze the experiments' headline
+metrics at smoke scale.  Each test re-measures one experiment and fails
+with a golden/measured/paper diff table when any metric leaves its
+tolerance band.  Regenerate after a *deliberate* modelling change with
+``scripts/update_goldens.py``.  ``tests/golden/bitident.json`` holds
+the bit-identity pins the rest of this module checks.
 """
 
 import hashlib
@@ -71,6 +74,15 @@ def test_table3_is_deterministic_and_tight(runner):
     first = compute_golden_metrics("table3", runner)
     second = compute_golden_metrics("table3", runner)
     assert first == second
+
+
+def test_golden_directory_holds_no_orphan_file():
+    # A golden file no test reads would linger unchecked.
+    expected = ["bitident.json"] + [
+        os.path.basename(golden_path(experiment, GOLDEN_DIR))
+        for experiment in EXPERIMENTS
+    ]
+    assert sorted(os.listdir(GOLDEN_DIR)) == sorted(expected)
 
 
 def test_unknown_experiment_rejected():
