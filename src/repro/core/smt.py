@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import asdict
 
 from repro.core.branch import GsharePredictor
 from repro.core.execute import VectorUnit
@@ -43,7 +42,7 @@ from repro.core.rob import GraduationWindow
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OPCODE_INFO, Opcode, Queue
 from repro.isa.registers import NO_REG, RegisterClass
-from repro.memory.interface import AccessType, MemoryStats, MemorySystem
+from repro.memory.interface import AccessType, MemorySystem
 from repro.tracegen.program import Trace
 from repro.workloads.multiprog import MultiprogramScheduler
 
@@ -154,146 +153,10 @@ def _ff_plan(trace: Trace) -> tuple:
     return plan
 
 
-# ------------------------------------------------------------- window chunks
-#
-# The sampled schedule is *chunked*: the run's expected committed span is
-# cut into up to _MAX_WINDOW_CHUNKS equal slices, and each slice executes
-# the ff/warmup/window/drain loop independently after reconstructing its
-# architectural start state (functional skim + a warmed final stretch).
-# Chunks are pure functions of (config, workload, chunk index) and run
-# back to back in one process, combined by a deterministic merge.  The
-# chunk count and each chunk's start state are part of what a sampled
-# result measures, so every pinned sampled result depends on them.
-
-#: Upper bound on window chunks per sampled run (diminishing returns —
-#: reconstruction overhead is paid once per chunk).
-_MAX_WINDOW_CHUNKS = 16
-
-#: Minimum sampling periods a chunk must contain: slicing finer than
-#: this would spend more time reconstructing start state than measuring.
-_PERIODS_PER_CHUNK = 3
-
-#: Fewer chunks than this and the run keeps the plain single-chunk
-#: schedule: a 2-3-way split would add a start-state reconstruction per
-#: chunk to runs too short to need one.
-_MIN_WINDOW_CHUNKS = 4
-
-#: Warm horizon of a chunk's start-state reconstruction, in sampling
-#: periods.  The stretch immediately before the chunk's first window is
-#: replayed through the warming fast-forward (gshare + cache tags); the
-#: prefix before that is skimmed functionally without warming.  Four
-#: periods re-touches far more state than one window can observe while
-#: keeping reconstruction cost independent of the chunk's position.
-_WARM_SPAN_PERIODS = 4
-
-
-def _sampled_geometry(
-    sampling: tuple, traces: list, completions_target: int
-) -> tuple[int, int, int, int]:
-    """Effective ``(ff_len, window_len, warmup_len, expected_committed)``.
-
-    Applies the same fast-forward clamp as the sampled run loop: at
-    least four sampling periods must fit in the workload's expected
-    committed span, so degenerate parameter/workload pairs still
-    measure something.
-    """
-    ff_len, window_len, warmup_len = sampling
-    expected = sum(
-        traces[i % len(traces)].expanded_length
-        for i in range(completions_target)
-    )
-    ff_cap = expected // 4 - warmup_len - window_len
-    if ff_len > ff_cap:
-        ff_len = max(0, ff_cap)
-    return ff_len, window_len, warmup_len, expected
-
-
-def sampled_chunk_count(
-    sampling: tuple, traces: list, completions_target: int
-) -> int:
-    """Window chunks a sampled run splits into (1 = the plain schedule).
-
-    A pure function of the configuration and workload, so the schedule
-    (and therefore the result) is fixed by the request alone.
-    """
-    ff_len, window_len, warmup_len, expected = _sampled_geometry(
-        sampling, traces, completions_target
-    )
-    span = ff_len + window_len + warmup_len
-    if span <= 0:
-        return 1
-    periods = expected // span
-    n_chunks = min(_MAX_WINDOW_CHUNKS, periods // _PERIODS_PER_CHUNK)
-    return n_chunks if n_chunks >= _MIN_WINDOW_CHUNKS else 1
-
-
-def merge_sampled_chunks(
-    config: SMTConfig,
-    fetch_policy: FetchPolicy,
-    chunks: list[dict],
-    observability: dict | None = None,
-) -> RunResult:
-    """Combine :meth:`SMTProcessor.run_sampled_chunk` payloads.
-
-    Samples concatenate and counters sum in ascending chunk order, so
-    the merge is deterministic (float addition is order-sensitive).
-    ``program_completions`` comes from the last chunk: its scheduler ran
-    the workload tail to completion, so its count covers the whole run.
-    """
-    chunks = sorted(chunks, key=lambda chunk: chunk["index"])
-    samples: list[list] = []
-    cycles = 0
-    committed = 0
-    equivalent = 0.0
-    lookups = 0
-    mispredicts = 0
-    vector_only_cycles = 0
-    active_cycles = 0
-    issue_counts: dict[str, int] = {}
-    per_program: dict[str, int] = {}
-    memory = MemoryStats()
-    caches = {"icache": memory.icache, "l1": memory.l1, "l2": memory.l2}
-    for chunk in chunks:
-        samples.extend(chunk["samples"])
-        cycles += chunk["cycles"]
-        committed += chunk["committed"]
-        equivalent += chunk["equivalent"]
-        lookups += chunk["predictor_lookups"]
-        mispredicts += chunk["predictor_mispredicts"]
-        vector_only_cycles += chunk["vector_only_cycles"]
-        active_cycles += chunk["active_cycles"]
-        for name, count in chunk["issue_counts"].items():
-            issue_counts[name] = issue_counts.get(name, 0) + count
-        for name, count in chunk["per_program_committed"].items():
-            per_program[name] = per_program.get(name, 0) + count
-        stats = chunk["memory"]
-        for name, target in caches.items():
-            source = stats[name]
-            target.accesses += source["accesses"]
-            target.hits += source["hits"]
-            target.latency_sum += source["latency_sum"]
-        memory.dram_accesses += stats["dram_accesses"]
-        memory.bank_conflict_cycles += stats["bank_conflict_cycles"]
-        memory.write_buffer_stalls += stats["write_buffer_stalls"]
-        memory.coherence_invalidations += stats["coherence_invalidations"]
-    return RunResult(
-        isa=config.isa,
-        n_threads=config.n_threads,
-        fetch_policy=fetch_policy.value,
-        cycles=cycles,
-        committed_instructions=committed,
-        committed_equivalent=equivalent,
-        program_completions=chunks[-1]["completions"],
-        memory=memory,
-        mispredict_rate=mispredicts / lookups if lookups else 0.0,
-        issue_counts=issue_counts,
-        vector_only_cycles=vector_only_cycles,
-        active_cycles=active_cycles,
-        per_program_committed=per_program,
-        sampling=list(config.sampling),
-        samples=samples,
-        observability=observability,
-    )
+#: Cycles a closed-loop run may pass without committing, fetching or
+#: completing anything before it is declared livelocked.  No modelled
+#: latency comes near it, so only a frozen machine reaches it.
+_WATCHDOG_CYCLES = 1 << 20
 
 
 class InFlight:
@@ -485,6 +348,10 @@ class SMTProcessor:
         self._base_cycles = 0
         self._base_committed = 0
         self._base_equiv = 0.0
+        # Livelock watchdog (see _check_progress).
+        self._watch_block = 0
+        self._watch_mark: tuple | None = None
+        self._watch_cycle = 0
         # Statistics.
         self.now = 0
         self.committed = 0
@@ -946,6 +813,7 @@ class SMTProcessor:
         max_cycles = self.max_cycles
         while not scheduler.done and self.now < max_cycles:
             if not step() and not scheduler.done:
+                self._check_progress()
                 target = self._skip_target()
                 if target > self.now:
                     self.now = target
@@ -956,6 +824,35 @@ class SMTProcessor:
             committed_instructions=self.committed - self._base_committed,
             committed_equivalent=self.committed_equiv - self._base_equiv,
         )
+
+    def _check_progress(self) -> None:
+        """Fail fast once :data:`_WATCHDOG_CYCLES` pass without progress.
+
+        Called only on the idle-skip branch, so busy cycles pay nothing,
+        and samples the progress mark — (completions, committed,
+        Σ ``fetch_idx``) — once per :data:`_WATCHDOG_CYCLES` block.  The
+        span is measured from the cycle at which the current mark was
+        first seen, not from block boundaries: two samples in adjacent
+        blocks can be cycles apart.
+        """
+        now = self.now
+        block = now // _WATCHDOG_CYCLES
+        if block == self._watch_block:
+            return
+        self._watch_block = block
+        mark = (
+            self.scheduler.completions,
+            self.committed,
+            sum(ctx.fetch_idx for ctx in self.threads),
+        )
+        if mark != self._watch_mark:
+            self._watch_mark = mark
+            self._watch_cycle = now
+        elif now - self._watch_cycle >= _WATCHDOG_CYCLES:
+            raise RuntimeError(
+                f"no progress between cycles {self._watch_cycle} and "
+                f"{now}: {self.committed} instructions committed — livelock"
+            )
 
     def _check_livelock(self) -> None:
         if self.now >= self.max_cycles:
@@ -1017,6 +914,7 @@ class SMTProcessor:
             and self.now < max_cycles
         ):
             if not step() and not scheduler.done:
+                self._check_progress()
                 skip = self._skip_target()
                 if skip > self.now:
                     self.now = skip
@@ -1047,6 +945,7 @@ class SMTProcessor:
             and self.now < max_cycles
         ):
             if not self.step() and not scheduler.done:
+                self._check_progress()
                 # The frozen stall horizons must not drive the idle skip,
                 # so only the wake lists are consulted here.
                 if self._wake:
@@ -1155,150 +1054,39 @@ class SMTProcessor:
             if not progressed:
                 break
 
-    def _reset_run_state(self) -> None:
-        """Rewind the processor to its pristine post-construction state.
+    def _run_sampled(self) -> RunResult:
+        """SMARTS-style sampled run: fast-forward, warm up, measure.
 
-        Every window chunk starts from this state before reconstructing
-        its own position, so a chunk's result is identical whether the
-        processor is freshly built or reused across chunks.  Long-lived
-        structures that carry sanitizer/observer references (graduation
-        window, issue queues, memory hierarchy) are reset in place; the
-        rest are rebuilt.
+        Each period functionally fast-forwards ``ff_len`` instructions
+        (predictor/cache state warmed, no timing), runs ``warmup_len``
+        instructions of unmeasured detailed execution to refill the
+        pipeline and short-lived structures, then measures EIPC over a
+        ``window_len``-instruction detailed window.  The reported
+        ``cycles``/``committed``/``equivalent`` are sums over the
+        measurement windows (ratio-of-sums EIPC); the per-window deltas
+        are returned as ``samples`` for the confidence interval.
+
+        The periods run as one continuous schedule, from the processor's
+        construction state to the completion target.
         """
-        config = self.config
-        old = self.scheduler
-        self.scheduler = MultiprogramScheduler(
-            old.traces, config.n_threads,
-            completions_target=old.completions_target,
-        )
-        self.predictor = GsharePredictor()
-        self.vector_unit = VectorUnit()
-        for queue in self.queues.values():
-            queue.occupancy = 0
-            queue.ready.clear()
-            queue.issued_total = 0
-        self.window.occupancy = 0
-        for fifo in self.window._fifos:
-            fifo.clear()
-        self.pools = dict(config.resources.rename_regs)
-        self.threads = [ThreadContext(i) for i in range(config.n_threads)]
-        for slot, assignment in zip(
-            self.threads,
-            self.scheduler.next_assignments(config.n_threads),
-        ):
-            slot.assign(assignment.trace)
-        self._wake = {}
-        self._rotation = 0
-        self.now = 0
-        self.committed = 0
-        self.committed_by_thread = [0] * config.n_threads
-        self.committed_equiv = 0.0
-        self.per_program_committed = {}
-        self.vector_only_cycles = 0
-        self.active_cycles = 0
-        self._base_cycles = 0
-        self._base_committed = 0
-        self._base_equiv = 0.0
-        # Sampled-mode invariant (chunks only exist in sampled mode):
-        # the global warmup-fraction machinery stays inert.
-        self._warmup_commits = 0
-        self._warm = True
-        self.memory.reset()
-
-    def _quiet_skip(self, target_committed: int) -> None:
-        """Skim the traces to ``target_committed`` without warming.
-
-        The architectural fast-forward minus its event walk: fetch
-        indices, commit counters and the program rotation advance via
-        the memoized prefix sums, but no predictor training and no cache
-        warming happen.  Used for the cold prefix of a chunk's
-        start-state reconstruction — state that far back is evicted or
-        overwritten before the chunk's first window could observe it.
-        """
-        threads = self.threads
         scheduler = self.scheduler
-        by_thread = self.committed_by_thread
-        chunk = 128
-        while self.committed < target_committed and not scheduler.done:
-            progressed = False
-            for ctx in threads:
-                if self.committed >= target_committed or scheduler.done:
-                    break
-                trace = ctx.trace
-                if trace is None:
-                    continue
-                thread = ctx.index
-                idx = ctx.fetch_idx
-                trace_len = ctx.trace_len
-                if idx < trace_len:
-                    prefix = _ff_plan(trace)[3]
-                    end = idx + chunk
-                    if end > trace_len:
-                        end = trace_len
-                    committed = prefix[end] - prefix[idx]
-                    idx = end
-                    ctx.fetch_idx = end
-                    self.committed += committed
-                    by_thread[thread] += committed
-                    self.committed_equiv += committed * ctx.equiv_per_inst
-                    progressed = True
-                if idx >= trace_len:
-                    name = trace.name
-                    self.per_program_committed[name] = (
-                        self.per_program_committed.get(name, 0)
-                        + ctx.trace_expanded
-                    )
-                    replacement = scheduler.on_completion()
-                    if replacement is None:
-                        ctx.trace = None
-                    else:
-                        ctx.assign(replacement.trace)
-                        self.predictor.reset_thread(thread)
-                    progressed = True
-            if not progressed:
-                break
-
-    def run_sampled_chunk(self, index: int, n_chunks: int) -> dict:
-        """Execute one window chunk of the sampled schedule.
-
-        Resets to pristine state, reconstructs the chunk's start
-        position (quiet skim of the cold prefix, warming fast-forward
-        over the final :data:`_WARM_SPAN_PERIODS` sampling periods),
-        then runs the standard ff/warmup/window/drain loop until the
-        chunk's committed-instruction boundary.  The returned payload is
-        a plain dict; :func:`merge_sampled_chunks` combines the payloads
-        into the final :class:`RunResult`.
-
-        A chunk may overshoot its boundary by a partial period — the
-        next chunk reconstructs to its own exact boundary regardless, so
-        the schedule stays deterministic for every ``n_chunks``.
-        """
-        config = self.config
-        self._reset_run_state()
-        scheduler = self.scheduler
-        ff_len, window_len, warmup_len, expected = _sampled_geometry(
-            config.sampling, scheduler.traces, scheduler.completions_target
+        ff_len, window_len, warmup_len = self.config.sampling
+        # At least four sampling periods must fit in the workload's
+        # expected committed span, so degenerate parameter/workload
+        # pairs still measure something.
+        traces = scheduler.traces
+        expected = sum(
+            traces[i % len(traces)].expanded_length
+            for i in range(scheduler.completions_target)
         )
-        span = ff_len + window_len + warmup_len
-        chunk_expanded = expected // n_chunks
-        start = index * chunk_expanded
-        end = None if index == n_chunks - 1 else (index + 1) * chunk_expanded
-        if start:
-            warm_span = min(start, _WARM_SPAN_PERIODS * span)
-            self._quiet_skip(start - warm_span)
-            budget = start - self.committed
-            if budget > 0:
-                self._fast_forward(budget)
-        base_programs = dict(self.per_program_committed)
+        ff_cap = expected // 4 - warmup_len - window_len
+        if ff_len > ff_cap:
+            ff_len = max(0, ff_cap)
         samples: list[list] = []
         cycles = 0
         committed = 0
         equivalent = 0.0
-        while (
-            not scheduler.done
-            and self.now < self.max_cycles
-            and (end is None or self.committed < end)
-        ):
+        while not scheduler.done and self.now < self.max_cycles:
             if ff_len:
                 self._fast_forward(ff_len)
                 if scheduler.done:
@@ -1326,64 +1114,10 @@ class SMTProcessor:
             self._drain_pipeline()
         self._check_livelock()
         self._finalize_sanitizer()
-        per_program: dict[str, int] = {}
-        for name, count in self.per_program_committed.items():
-            delta = count - base_programs.get(name, 0)
-            if delta:
-                per_program[name] = delta
-        predictor = self.predictor
-        return {
-            "index": index,
-            "n_chunks": n_chunks,
-            "samples": samples,
-            "cycles": cycles,
-            "committed": committed,
-            "equivalent": equivalent,
-            "completions": scheduler.completions,
-            "per_program_committed": per_program,
-            "memory": asdict(self.memory.stats),
-            "predictor_lookups": predictor.lookups,
-            "predictor_mispredicts": predictor.mispredicts,
-            "issue_counts": {
-                queue.name: queue.issued_total
-                for queue in self.queues.values()
-            },
-            "vector_only_cycles": self.vector_only_cycles,
-            "active_cycles": self.active_cycles,
-        }
-
-    def _run_sampled(self) -> RunResult:
-        """SMARTS-style sampled run: fast-forward, warm up, measure.
-
-        Each period functionally fast-forwards ``ff_len`` instructions
-        (predictor/cache state warmed, no timing), runs ``warmup_len``
-        instructions of unmeasured detailed execution to refill the
-        pipeline and short-lived structures, then measures EIPC over a
-        ``window_len``-instruction detailed window.  The reported
-        ``cycles``/``committed``/``equivalent`` are sums over the
-        measurement windows (ratio-of-sums EIPC); the per-window deltas
-        are returned as ``samples`` for the confidence interval.
-
-        The schedule is *chunked* (see :func:`sampled_chunk_count`): the
-        run executes as a deterministic sequence of independent window
-        chunks, back to back in this process, merged in chunk order.
-        """
-        scheduler = self.scheduler
-        n_chunks = sampled_chunk_count(
-            self.config.sampling, scheduler.traces,
-            scheduler.completions_target,
-        )
-        chunks = [
-            self.run_sampled_chunk(index, n_chunks)
-            for index in range(n_chunks)
-        ]
-        return merge_sampled_chunks(
-            self.config,
-            self.fetch_policy,
-            chunks,
-            observability=(
-                self.observer.snapshot()
-                if self.observer is not None
-                else None
-            ),
+        return self._make_result(
+            cycles=cycles,
+            committed_instructions=committed,
+            committed_equivalent=equivalent,
+            sampling=list(self.config.sampling),
+            samples=samples,
         )

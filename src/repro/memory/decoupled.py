@@ -258,28 +258,6 @@ class DecoupledHierarchy(MemorySystem):
         self.l1.write_buffer.coalesced = 0
         self.l1.write_buffer.full_stalls = 0
 
-    def reset(self) -> None:
-        """Rebuild as freshly constructed, keeping geometry and hooks.
-
-        Same rationale as ``ConventionalHierarchy.reset``: tag, MSHR,
-        port and DRAM state carry absolute timestamps, so the faithful
-        reset is a re-run of ``__init__`` with the same geometry.
-        """
-        sanitizer = self.sanitizer
-        observer = self.observer
-        self.__init__(
-            n_scalar_ports=len(self._scalar_ports),
-            n_vector_ports=len(self._vector_ports),
-            dram=RambusChannel(
-                latency=self.dram.latency,
-                bytes_per_cycle=self.dram.bytes_per_cycle,
-            ),
-        )
-        if sanitizer is not None:
-            self.attach_sanitizer(sanitizer)
-        if observer is not None:
-            self.attach_observer(observer)
-
     # ----- instruction path ------------------------------------------------------
 
     def fetch(self, thread: int, pc: int, now: int) -> int:

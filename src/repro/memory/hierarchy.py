@@ -233,31 +233,6 @@ class ConventionalHierarchy(MemorySystem):
         self.l1.write_buffer.coalesced = 0
         self.l1.write_buffer.full_stalls = 0
 
-    def reset(self) -> None:
-        """Rebuild as freshly constructed, keeping geometry and hooks.
-
-        Tag arrays, MSHRs, bank/port timestamps and the DRAM channel all
-        carry absolute-time residue, so the only faithful reset is a
-        re-run of ``__init__`` with the same geometry; the attached
-        sanitizer/observer survive the rebuild.
-        """
-        sanitizer = self.sanitizer
-        observer = self.observer
-        dram = RambusChannel(
-            latency=self.dram.latency,
-            bytes_per_cycle=self.dram.bytes_per_cycle,
-        )
-        self.__init__(
-            n_ports=len(self._ports),
-            l1_config=self.l1.config,
-            dram=dram,
-            l2=L2Cache(dram, config=self.l2.config),
-        )
-        if sanitizer is not None:
-            self.attach_sanitizer(sanitizer)
-        if observer is not None:
-            self.attach_observer(observer)
-
     # ----- instruction path -------------------------------------------------------
 
     def fetch(self, thread: int, pc: int, now: int) -> int:

@@ -172,18 +172,6 @@ class MemorySystem:
         """Zero all counters (warmup boundary); tag state is preserved."""
         self.stats = MemoryStats()
 
-    def reset(self) -> None:
-        """Restore pristine post-construction state (counters *and* tag
-        state), preserving attached sanitizer/observer hooks.
-
-        Window-chunked sampled runs (:mod:`repro.core.smt`) call this
-        between chunks so a reused hierarchy behaves exactly like a
-        freshly built one.  The base
-        implementation suffices for stateless models (perfect memory);
-        hierarchies override it to rebuild their tag/MSHR/DRAM state.
-        """
-        self.stats = MemoryStats()
-
 
 #: Per-thread physical page colouring: a multiplicative hash of the
 #: virtual page number and thread id models the OS page mapper, so that

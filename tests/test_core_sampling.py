@@ -23,10 +23,13 @@ from repro.analysis.runner import (
     Runner,
     result_from_dict,
     result_to_dict,
+    workload_traces,
 )
 from repro.core import SMTConfig, SMTProcessor
 from repro.core.stats import mean_ci95, t_critical_95
+from repro.memory.cache import L2Cache
 from repro.memory.decoupled import DecoupledHierarchy
+from repro.memory.dram import RambusChannel
 from repro.memory.hierarchy import ConventionalHierarchy
 from repro.memory.interface import AccessType
 from repro.workloads import build_workload_traces
@@ -167,6 +170,45 @@ class TestSampledRun:
             isa="mom", memory=DecoupledHierarchy(), sanitize=True
         )
         assert decoupled.samples
+
+
+class TestContinuousSchedule:
+    def test_ledger_counts_each_program_once(self):
+        # The per-program ledger is the work a sampled run advanced: the
+        # runner's throughput provenance and the perf benchmark's
+        # sim_kips read it.  Over many sampling periods, every program
+        # the 1-thread schedule runs must be counted exactly once.
+        request = RunRequest(
+            "mmx", 1, scale=2e-5, sampling=(1000, 200, 50)
+        )
+        traces = workload_traces(request.isa, request.scale)
+        expected: dict[str, int] = {}
+        for i in range(request.completions_target):
+            trace = traces[i % len(traces)]
+            expected[trace.name] = (
+                expected.get(trace.name, 0) + trace.expanded_length
+            )
+        runner = Runner()
+        result = runner.run(request)
+        assert len(result.samples) > 10
+        assert result.per_program_committed == expected
+        assert runner.stats.sim_instructions == sum(expected.values())
+
+    @pytest.mark.parametrize(
+        "hierarchy", [ConventionalHierarchy, DecoupledHierarchy]
+    )
+    def test_sampled_run_keeps_an_injected_l2(self, hierarchy):
+        # CMP cores share one system L2 by injection; a sampled run must
+        # warm and measure that L2, not a private replacement.
+        dram = RambusChannel()
+        l2 = L2Cache(dram)
+        memory = hierarchy(dram=dram, l2=l2)
+        result = run_processor(memory=memory)
+        assert len(result.samples) >= 2
+        assert memory.l2 is l2
+        assert memory.dram is dram
+        assert memory.stats.l2 is l2.stats
+        assert l2.stats.accesses > 0
 
 
 class TestConvergence:
@@ -318,3 +360,14 @@ class TestSampledRunnerPlumbing:
         assert "±" in result.report
         assert "resolve" in result.report
         assert set(result.measured["ranking_resolved"]) == {"mmx", "mom"}
+        for isa in ("mmx", "mom"):
+            # RR is the baseline, never the best policy: each ranking
+            # line orders one challenger and RR the way the EIPCs do.
+            line = next(
+                line for line in result.report.splitlines()
+                if line.startswith(f"{isa.upper()} best-policy gain")
+            )
+            first, sign, second = line.split("ranking ")[1].split()[:3]
+            assert sign == ">"
+            assert [first, second].count("RR") == 1
+            assert (first != "RR") == (result.measured["gain"][isa] >= 0)

@@ -88,6 +88,26 @@ class TestBasicExecution:
         with pytest.raises(RuntimeError):
             processor.run()
 
+    @pytest.mark.parametrize("sampling", [None, (2000, 400, 100)])
+    def test_frozen_machine_fails_fast(self, sampling):
+        # Every fetch misses for 10,000 cycles, so nothing ever commits.
+        # The progress watchdog must raise long before max_cycles, in the
+        # full-detail loop and in the sampled schedule's detailed
+        # stretches alike.
+        class FrozenFetch(PerfectMemory):
+            def fetch(self, thread, pc, now):
+                return now + 10_000
+
+        processor = SMTProcessor(
+            SMTConfig(n_threads=2, sampling=sampling),
+            FrozenFetch(),
+            build_workload_traces("mmx", scale=SCALE),
+            max_cycles=64 << 20,
+        )
+        with pytest.raises(RuntimeError, match="no progress between cycles"):
+            processor.run()
+        assert processor.now < 4 << 20
+
 
 class TestBranchHandling:
     def test_branchy_code_slower_than_straightline(self):

@@ -90,7 +90,7 @@ def test_unknown_experiment_rejected():
         compute_golden_metrics("fig99")
 
 
-# ----- chunked sampled pins -------------------------------------------------
+# ----- sampled pins ----------------------------------------------------------
 
 
 def load_bitident():
@@ -107,47 +107,30 @@ def canonical_sha256(result):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(load_bitident()["chunked_runs"]))
-def test_chunked_sampled_runs_reproduce_pinned_hashes(name):
-    """A multi-chunk sampled run must reproduce its pinned hash exactly.
+@pytest.mark.parametrize("name", sorted(load_bitident()["sampled_runs"]))
+def test_sampled_runs_reproduce_pinned_hashes(name):
+    """A sampled run of many periods must reproduce its pinned hash exactly.
 
-    The sampled pin in ``runs`` runs a single chunk; these
-    configurations split into several, so they pin chunk boundaries,
-    start-state reconstruction and the chunk merge: same samples, same
-    CI inputs, same everything.
+    These configurations fit many fast-forward / warmup / window / drain
+    periods at this scale, so they pin the whole continuous schedule:
+    same samples, same CI inputs, same everything.
     """
-    from repro.analysis.runner import (
-        RunRequest,
-        execute_request,
-        workload_traces,
-    )
-    from repro.core.smt import sampled_chunk_count
+    from repro.analysis.runner import RunRequest, execute_request
 
-    pinned = load_bitident()["chunked_runs"][name]
-    request = RunRequest(**pinned["request"])
-    traces = workload_traces(request.isa, request.scale, request.seed)
-    n_chunks = sampled_chunk_count(
-        request.sampling, traces, request.completions_target
-    )
-    assert n_chunks == pinned["n_chunks"], (
-        "the pinned configuration no longer chunks as recorded — the "
-        "chunked pins must exercise a genuinely multi-chunk schedule"
-    )
-    assert n_chunks > 1
-
-    result = execute_request(request)
+    pinned = load_bitident()["sampled_runs"][name]
+    result = execute_request(RunRequest(**pinned["request"]))
     assert canonical_sha256(result) == pinned["result_sha256"]
     assert result.cycles == pinned["cycles"]
     assert result.committed_instructions == pinned["committed_instructions"]
 
 
-def test_chunked_pins_pin_their_fingerprints():
+def test_sampled_pins_pin_their_fingerprints():
     # Frozen under the pinned version so unrelated source edits don't
     # churn this file — only a deliberate request-schema change does.
     document = load_bitident()
     from repro.analysis.runner import RunRequest
 
-    for name, pinned in document["chunked_runs"].items():
+    for name, pinned in document["sampled_runs"].items():
         request = RunRequest(**pinned["request"])
         assert (
             request.fingerprint(document["pinned_version"])

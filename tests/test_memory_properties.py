@@ -1,5 +1,6 @@
 """Property-based tests of memory-system invariants (hypothesis)."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memory import ConventionalHierarchy, DecoupledHierarchy
@@ -114,3 +115,82 @@ class TestThreadIsolationOfTranslation:
             # (with overwhelming probability for a correct hash).
             other = physical_address(t2, addr)
             assert (first >> 12) != (other >> 12) or t1 == t2
+
+
+# ----- the warming path against the detailed path ---------------------------
+
+_KINDS = {
+    "load": AT.SCALAR_LOAD,
+    "store": AT.SCALAR_STORE,
+    "vload": AT.VECTOR_LOAD,
+    "vstore": AT.VECTOR_STORE,
+}
+
+# A few dozen pages with a few lines each, so physical page colours
+# collide: sets fill, evict and reorder their LRU lists.
+_pages = st.builds(
+    lambda page, offset: (page << 12) | (offset & ~0x7),
+    st.integers(0, 47),
+    st.integers(0, 511),
+)
+_threads = st.integers(0, 3)
+
+#: (operation, thread, address, stride, element count)
+operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(sorted(_KINDS)), _threads, _pages,
+            st.just(0), st.just(1),
+        ),
+        st.tuples(
+            st.sampled_from(["vload", "vstore"]), _threads, _pages,
+            st.integers(8, 128), st.integers(2, 16),
+        ),
+        st.tuples(st.just("fetch"), _threads, _pages, st.just(0), st.just(1)),
+    ),
+    min_size=1,
+    max_size=120,
+)
+
+
+def tag_state(memory) -> dict:
+    """Every set's ``(line, dirty)`` list, in LRU order, per cache."""
+    return {
+        name: [
+            [tuple(entry) for entry in entries]
+            for entries in getattr(memory, name).tags._sets
+        ]
+        for name in ("l1", "icache", "l2")
+    }
+
+
+class TestWarmingMatchesDetail:
+    """``MemorySystem.warm`` promises the tag state the detailed path
+    leaves.  The sampled fast-forward carries most of a sampled run's
+    instructions through that promise, so check it on random mixes of
+    scalar, vector, stream and fetch references from four threads, with
+    each detailed call issued long after the previous one's fills have
+    landed."""
+
+    @pytest.mark.parametrize(
+        "hierarchy", [ConventionalHierarchy, DecoupledHierarchy]
+    )
+    @given(ops=operations)
+    @settings(max_examples=60, deadline=None)
+    def test_warming_leaves_the_detailed_tag_state(self, hierarchy, ops):
+        warmed = hierarchy()
+        detailed = hierarchy()
+        now = 0
+        for op, thread, addr, stride, count in ops:
+            now += 100_000
+            if op == "fetch":
+                warmed.warm_fetch(thread, addr)
+                detailed.fetch(thread, addr, now)
+            elif count > 1:
+                kind = _KINDS[op]
+                warmed.warm_stream(thread, addr, stride, count, kind)
+                detailed.access_stream(thread, addr, stride, count, kind, now)
+            else:
+                warmed.warm(thread, addr, _KINDS[op])
+                detailed.access(thread, addr, _KINDS[op], now)
+        assert tag_state(warmed) == tag_state(detailed)
