@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from operator import itemgetter
 
 from repro.core.branch import GsharePredictor
 from repro.core.execute import VectorUnit
@@ -91,11 +92,24 @@ _MEM_KIND_OF = tuple(_MEM_KIND.get(op) for op in Opcode)
 # ordered list of those eventful instructions plus a prefix sum of
 # expanded weights, so whole runs of pure-ALU instructions retire as one
 # subtraction instead of a per-instruction interpreter loop.
+#
+# Event tuples hold only ints (the access kind is an index into
+# _FF_KINDS), so the cyclic GC untracks them at their first collection
+# instead of traversing every event (about a million at scale 1e-3) in
+# each full collection.
 
-_FF_FETCH = 0    # (idx, tag, pc,       0,      0,      None)
-_FF_BRANCH = 1   # (idx, tag, pc,       taken,  0,      None)
+_FF_FETCH = 0    # (idx, tag, pc,       prev,   0,      0)
+_FF_BRANCH = 1   # (idx, tag, pc,       taken,  0,      0)
 _FF_MEM = 2      # (idx, tag, mem_addr, 0,      0,      kind)
 _FF_STREAM = 3   # (idx, tag, mem_addr, stride, length, kind)
+
+_FF_KINDS = tuple(AccessType)
+_FF_KIND_OF = tuple(
+    -1 if kind is None else _FF_KINDS.index(kind) for kind in _MEM_KIND_OF
+)
+
+#: Instructions a thread retires per turn of the fast-forward round robin.
+_FF_CHUNK = 128
 
 #: plan cache: id(trace) -> (trace, event_indices, events, weight_prefix).
 #: Entries hold the trace itself, so a live plan's id() can never be
@@ -115,32 +129,47 @@ def _ff_plan(trace: Trace) -> tuple:
     prefix = [0] * (len(trace.instructions) + 1)
     total = 0
     last_line = -1
-    last_mem_key = None
+    last_mem_key = -1
+    # I-line events of the current run of same-page I-line events, by
+    # line: an event's ``prev`` is the instruction index of the previous
+    # event of its line in the run, or -1.  Lines of one 4 KB page sit
+    # in distinct I-cache sets (the set index covers page-offset bits
+    # 5-11), so when ``prev`` falls in the same fast-forward chunk,
+    # nothing touched the line's set in between: the line is still the
+    # set's most recently used, and warming it again changes nothing.
+    page = -1
+    page_lines: dict[int, int] = {}
     for idx, inst in enumerate(trace.instructions):
         pc = inst.pc
         line = pc >> 5
         if line != last_line:
-            append((idx, _FF_FETCH, pc, 0, 0, None))
+            if line >> 7 != page:
+                page = line >> 7
+                page_lines = {}
+            append((idx, _FF_FETCH, pc, page_lines.get(line, -1), 0, 0))
+            page_lines[line] = idx
             last_line = line
         op = inst.op
         if _IS_BRANCH[op]:
-            append((idx, _FF_BRANCH, pc, inst.taken, 0, None))
+            append((idx, _FF_BRANCH, pc, inst.taken, 0, 0))
         weight = inst.stream_length
         if _IS_MEM[op]:
-            kind = _MEM_KIND_OF[op]
+            kind = _FF_KIND_OF[op]
             if weight > 1:
                 append(
                     (idx, _FF_STREAM, inst.mem_addr, inst.stride, weight,
                      kind)
                 )
-                last_mem_key = None
+                last_mem_key = -1
             else:
                 # Consecutive references to one line with one kind
-                # coalesce: right after the first call the line is
-                # already most-recently-used (or, for stores, already
-                # touched), so the repeat cannot change replacement
-                # state on either hierarchy.
-                mem_key = (inst.mem_addr >> 5, kind)
+                # coalesce.  Within one chunk the repeat would find its
+                # L1 line most recently used (stores: already touched)
+                # and change nothing; across a chunk boundary or a
+                # detailed window, other threads ran in between, and
+                # dropping the repeat is an approximation (docs/MODEL.md,
+                # "Sampled simulation").
+                mem_key = (inst.mem_addr >> 5 << 3) | kind
                 if mem_key != last_mem_key:
                     append((idx, _FF_MEM, inst.mem_addr, 0, 0, kind))
                     last_mem_key = mem_key
@@ -148,7 +177,7 @@ def _ff_plan(trace: Trace) -> tuple:
         prefix[idx + 1] = total
     if len(_FF_PLANS) >= _FF_PLAN_LIMIT:
         _FF_PLANS.pop(next(iter(_FF_PLANS)))
-    plan = (trace, tuple(e[0] for e in events), events, prefix)
+    plan = (trace, tuple(map(itemgetter(0), events)), events, prefix)
     _FF_PLANS[key] = plan
     return plan
 
@@ -955,6 +984,9 @@ class SMTProcessor:
         for ctx, stall in zip(threads, saved):
             ctx.fetch_stall_until = stall
 
+    # codelint: hot-loop — walks every eventful instruction of the
+    # sampled fast-forward; the HOT-* rules keep the hoisted walk free
+    # of per-event attribute lookups and allocations (docs/VERIFY.md).
     def _fast_forward(self, budget: int) -> None:
         """Functionally retire ``budget`` (expanded) instructions.
 
@@ -966,8 +998,11 @@ class SMTProcessor:
         references run the hierarchies' warming-only tag path.  Pure-ALU
         instructions carry no long-lived state, so each trace's memoized
         plan (:func:`_ff_plan`) lets a chunk retire as one prefix-sum
-        subtraction plus a walk of only its eventful instructions.  Must
-        be called with the pipeline drained (:meth:`_drain_pipeline`).
+        subtraction plus a walk of only its eventful instructions.  An
+        I-line event whose same-page predecessor lies in the same chunk
+        is skipped: that warm would be a hit on its set's most recently
+        used line.  Must be called with the pipeline drained
+        (:meth:`_drain_pipeline`).
         """
         threads = self.threads
         scheduler = self.scheduler
@@ -977,7 +1012,11 @@ class SMTProcessor:
         warm = memory.warm
         warm_stream = memory.warm_stream
         warm_fetch = memory.warm_fetch
+        kinds = _FF_KINDS
         by_thread = self.committed_by_thread
+        per_program = self.per_program_committed
+        committed_total = self.committed
+        equiv_total = self.committed_equiv
         n_threads = len(threads)
         plans: list[tuple | None] = [None] * n_threads
         positions = [0] * n_threads
@@ -988,7 +1027,7 @@ class SMTProcessor:
                 # Detailed windows advance fetch_idx without touching the
                 # plan cursor, so re-seat it on every fast-forward entry.
                 positions[ctx.index] = bisect_left(plan[1], ctx.fetch_idx)
-        chunk = 128
+        chunk = _FF_CHUNK
         remaining = budget
         while remaining > 0 and not scheduler.done:
             progressed = False
@@ -1007,39 +1046,33 @@ class SMTProcessor:
                     if end > trace_len:
                         end = trace_len
                     pos = positions[thread]
-                    n_events = len(ev_idx)
-                    while pos < n_events and ev_idx[pos] < end:
-                        event = events[pos]
-                        pos += 1
-                        tag = event[1]
+                    last = bisect_left(ev_idx, end, pos)
+                    for __, tag, a, b, c, kind in events[pos:last]:
                         if tag == _FF_FETCH:
-                            warm_fetch(thread, event[2])
-                        elif tag == _FF_BRANCH:
-                            predict(thread, event[2], event[3])
+                            if b < idx:
+                                warm_fetch(thread, a)
                         elif tag == _FF_MEM:
-                            warm(thread, event[2], event[5])
+                            warm(thread, a, kinds[kind])
+                        elif tag == _FF_BRANCH:
+                            predict(thread, a, b)
                         else:
-                            warm_stream(
-                                thread, event[2], event[3], event[4],
-                                event[5],
-                            )
-                    positions[thread] = pos
+                            warm_stream(thread, a, b, c, kinds[kind])
+                    positions[thread] = last
                     committed = prefix[end] - prefix[idx]
                     idx = end
                     ctx.fetch_idx = end
                     remaining -= committed
-                    self.committed += committed
+                    committed_total += committed
                     by_thread[thread] += committed
-                    self.committed_equiv += committed * ctx.equiv_per_inst
+                    equiv_total += committed * ctx.equiv_per_inst
                     progressed = True
                 if idx >= trace_len:
                     # Program fully consumed (pipeline is drained, so
                     # nothing of it is in flight): rotate the workload
                     # exactly as the commit stage does.
                     name = trace.name
-                    self.per_program_committed[name] = (
-                        self.per_program_committed.get(name, 0)
-                        + ctx.trace_expanded
+                    per_program[name] = (
+                        per_program.get(name, 0) + ctx.trace_expanded
                     )
                     replacement = scheduler.on_completion()
                     if replacement is None:
@@ -1053,6 +1086,8 @@ class SMTProcessor:
                     progressed = True
             if not progressed:
                 break
+        self.committed = committed_total
+        self.committed_equiv = equiv_total
 
     def _run_sampled(self) -> RunResult:
         """SMARTS-style sampled run: fast-forward, warm up, measure.

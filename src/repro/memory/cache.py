@@ -13,7 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.memory.dram import RambusChannel
-from repro.memory.interface import CacheStats
+from repro.memory.interface import (
+    CacheStats,
+    MemoryStats,
+    MemorySystem,
+    physical_address,
+)
 from repro.memory.mshr import MshrFile
 from repro.memory.sram import TagArray
 from repro.memory.writebuffer import WriteBuffer
@@ -78,15 +83,6 @@ class L2Cache:
         self._latency = config.latency
         self._bank_mask = config.banks - 1
         self._line_bytes = config.line
-
-    def _bank_of(self, line_addr: int) -> int:
-        return line_addr & (self.config.banks - 1)
-
-    def _acquire_bank(self, line_addr: int, now: int) -> int:
-        bank = self._bank_of(line_addr)
-        start = max(now, self._bank_free[bank])
-        self._bank_free[bank] = start + self.BANK_OCCUPANCY
-        return start
 
     def access(self, addr: int, now: int, is_store: bool = False) -> int:
         """Read or write one line; returns data-available cycle."""
@@ -157,7 +153,6 @@ class L1DataCache:
         self.config = config
         self.l2 = l2
         self.tags = TagArray(config.n_sets, config.assoc)
-        self.stats = CacheStats()
         self.mshr = MshrFile(config.mshrs)
         self.write_buffer = WriteBuffer()
         self._bank_free = [0] * config.banks
@@ -167,12 +162,6 @@ class L1DataCache:
 
     def _line_of(self, addr: int) -> int:
         return addr >> self.config.line_shift
-
-    def _acquire_bank(self, line_addr: int, now: int) -> tuple[int, int]:
-        bank = line_addr & (self.config.banks - 1)
-        start = max(now, self._bank_free[bank])
-        self._bank_free[bank] = start + 1
-        return start, start - now
 
     def load_line(self, addr: int, now: int) -> tuple[int, bool, int]:
         """Read the line containing ``addr``.
@@ -259,7 +248,6 @@ class InstructionCache:
         self.config = config
         self.l2 = l2
         self.tags = TagArray(config.n_sets, config.assoc)
-        self.stats = CacheStats()
         self.mshr = MshrFile(4)
         self._bank_free = [0] * config.banks
         self._line_shift = config.line_shift
@@ -308,3 +296,65 @@ class InstructionCache:
         mshr.allocate(line, fill, start)
         self.tags.fill(line)
         return fill + latency, False
+
+
+class CacheHierarchy(MemorySystem):
+    """What the two cache organizations share, defined once.
+
+    A subclass builds ``l1``, ``icache`` and ``l2`` (one I-cache design
+    serves both organizations) and calls :meth:`_relink_stats`.  The
+    warming paths index the tag arrays' set lists inline, with
+    :class:`TagArray`'s lookup/fill logic, because the sampled
+    fast-forward calls one of them for every eventful instruction.
+    """
+
+    def _relink_stats(self) -> None:
+        """Refresh the hot-path references into the stats container.
+
+        ``stats`` is replaced wholesale at the warmup boundary
+        (:meth:`reset_stats`), so the per-access code paths read these
+        cached references instead of chasing two attributes per counter.
+        """
+        self._l1_stats = self.stats.l1
+        self._icache_stats = self.stats.icache
+
+    def reset_stats(self) -> None:
+        self.stats = MemoryStats()
+        self.l2.stats = CacheStats()
+        self.stats.l2 = self.l2.stats
+        self._relink_stats()
+        self.write_buffer_reset()
+
+    def write_buffer_reset(self) -> None:
+        self.l1.write_buffer.coalesced = 0
+        self.l1.write_buffer.full_stalls = 0
+
+    def warm_fetch(self, thread: int, pc: int) -> None:
+        """I-cache tag warming matching :meth:`fetch` (fills from L2)."""
+        phys = physical_address(thread, pc)
+        icache = self.icache
+        line = phys >> icache._line_shift
+        tags = icache.tags
+        entries = tags._sets[line & tags._set_mask]
+        for entry in entries:
+            if entry[0] == line:
+                if entry is not entries[-1]:
+                    entries.remove(entry)
+                    entries.append(entry)
+                return
+        if len(entries) >= tags.assoc:
+            del entries[0]
+        entries.append([line, False])
+        # The miss fills from L2: touch its line, or allocate it.
+        l2 = self.l2
+        line = phys >> l2._line_shift
+        tags = l2.tags
+        entries = tags._sets[line & tags._set_mask]
+        for entry in entries:
+            if entry[0] == line:
+                entries.remove(entry)
+                entries.append(entry)
+                return
+        if len(entries) >= tags.assoc:
+            del entries[0]
+        entries.append([line, False])

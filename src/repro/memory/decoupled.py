@@ -17,16 +17,13 @@ from __future__ import annotations
 
 from repro.memory.cache import (
     CacheConfig,
+    CacheHierarchy,
     InstructionCache,
     L1DataCache,
     L2Cache,
 )
 from repro.memory.dram import RambusChannel
-from repro.memory.interface import (
-    AccessType,
-    MemorySystem,
-    physical_address,
-)
+from repro.memory.interface import AccessType, physical_address
 
 #: L1 in the decoupled organization: same 32 KB direct-mapped cache, but
 #: single-banked and double-pumped — two scalar accesses per cycle.
@@ -37,8 +34,13 @@ L1_DECOUPLED = CacheConfig(
 #: Extra cycles an exclusive-bit invalidation adds to a vector access.
 INVALIDATION_PENALTY = 2
 
+# Enum members as module globals for the warming paths (see hierarchy.py).
+_SCALAR_STORE = AccessType.SCALAR_STORE
+_VECTOR_LOAD = AccessType.VECTOR_LOAD
+_VECTOR_STORE = AccessType.VECTOR_STORE
 
-class DecoupledHierarchy(MemorySystem):
+
+class DecoupledHierarchy(CacheHierarchy):
     """Scalar ports -> L1 -> L2; vector ports -> L2 directly."""
 
     def __init__(
@@ -59,11 +61,6 @@ class DecoupledHierarchy(MemorySystem):
         self._vector_ports = [0] * n_vector_ports
         self.stats.l2 = self.l2.stats
         self._relink_stats()
-
-    def _relink_stats(self) -> None:
-        """Refresh hot-path stats references (see ConventionalHierarchy)."""
-        self._l1_stats = self.stats.l1
-        self._icache_stats = self.stats.icache
 
     @staticmethod
     def _acquire(ports: list[int], now: int) -> int:
@@ -187,15 +184,6 @@ class DecoupledHierarchy(MemorySystem):
 
     # ----- warming-only path (sampled simulation fast-forward) -------------
 
-    def _warm_vector_line(self, phys: int, is_store: bool) -> None:
-        """Timing-free vector access: exclusive-bit invalidate + L2 touch."""
-        if self.l1.contains(phys):
-            # The eviction is a genuine state change the detailed path
-            # would also perform; the statistics counter, like all stats,
-            # is not touched on the warming path.
-            self.l1.invalidate(phys)
-        self.l2.tags.fill(phys >> self.l2._line_shift, dirty=is_store)
-
     def warm(self, thread: int, addr: int, kind: AccessType) -> None:
         """Tag/replacement update matching :meth:`access`, no timing.
 
@@ -204,26 +192,64 @@ class DecoupledHierarchy(MemorySystem):
         bypass to L2 and apply the exclusive-bit invalidation the
         detailed path enforces — the coherence-state side of sampling
         must stay faithful or the sanitizer's stream-bypass rule breaks
-        in the first detailed window.
+        in the first detailed window.  Like all statistics, the
+        invalidation counter is not touched.
         """
         phys = physical_address(thread, addr)
-        if kind is AccessType.VECTOR_LOAD or kind is AccessType.VECTOR_STORE:
-            self._warm_vector_line(phys, kind is AccessType.VECTOR_STORE)
-            return
-        line = phys >> self.l1._line_shift
-        tags = self.l1.tags
-        if kind is AccessType.SCALAR_STORE:
-            tags.lookup(line)
-        elif not tags.lookup(line):
-            tags.fill(line)
-            self.l2.tags.fill(phys >> self.l2._line_shift)
+        l1 = self.l1
+        line = phys >> l1._line_shift
+        tags = l1.tags
+        entries = tags._sets[line & tags._set_mask]
+        if kind is _VECTOR_LOAD or kind is _VECTOR_STORE:
+            for entry in entries:
+                if entry[0] == line:
+                    entries.remove(entry)
+                    break
+            dirty = kind is _VECTOR_STORE
+        else:
+            for entry in entries:
+                if entry[0] == line:
+                    if entry is not entries[-1]:
+                        entries.remove(entry)
+                        entries.append(entry)
+                    return
+            if kind is _SCALAR_STORE:
+                return
+            if len(entries) >= tags.assoc:
+                del entries[0]
+            entries.append([line, False])
+            dirty = False
+        l2 = self.l2
+        line = phys >> l2._line_shift
+        tags = l2.tags
+        entries = tags._sets[line & tags._set_mask]
+        for entry in entries:
+            if entry[0] == line:
+                entries.remove(entry)
+                if dirty:
+                    entry[1] = True
+                entries.append(entry)
+                return
+        if len(entries) >= tags.assoc:
+            del entries[0]
+        entries.append([line, dirty])
 
     def warm_stream(
         self, thread: int, base: int, stride: int, count: int, kind: AccessType
     ) -> None:
-        """Per-L2-line coalesced warming, mirroring :meth:`access_stream`."""
-        is_store = kind is AccessType.VECTOR_STORE
-        line_shift = self.l2._line_shift
+        """Per-L2-line coalesced warming, mirroring :meth:`access_stream`:
+        each line drops a scalar L1 copy (exclusive bit) and touches or
+        allocates its L2 line."""
+        dirty = kind is _VECTOR_STORE
+        l1 = self.l1
+        l1_shift = l1._line_shift
+        l1_sets = l1.tags._sets
+        l1_mask = l1.tags._set_mask
+        l2 = self.l2
+        line_shift = l2._line_shift
+        sets = l2.tags._sets
+        set_mask = l2.tags._set_mask
+        assoc = l2.tags.assoc
         index = 0
         while index < count:
             addr = base + index * stride
@@ -234,29 +260,27 @@ class DecoupledHierarchy(MemorySystem):
                 and (base + (index + group) * stride) >> line_shift == line
             ):
                 group += 1
-            self._warm_vector_line(physical_address(thread, addr), is_store)
             index += group
-
-    def warm_fetch(self, thread: int, pc: int) -> None:
-        """I-cache tag warming matching :meth:`fetch` (fills from L2)."""
-        phys = physical_address(thread, pc)
-        tags = self.icache.tags
-        if not tags.lookup(phys >> self.icache._line_shift):
-            tags.fill(phys >> self.icache._line_shift)
-            self.l2.tags.fill(phys >> self.l2._line_shift)
-
-    def reset_stats(self) -> None:
-        from repro.memory.interface import CacheStats, MemoryStats
-
-        self.stats = MemoryStats()
-        self.l2.stats = CacheStats()
-        self.stats.l2 = self.l2.stats
-        self._relink_stats()
-        self.write_buffer_reset()
-
-    def write_buffer_reset(self) -> None:
-        self.l1.write_buffer.coalesced = 0
-        self.l1.write_buffer.full_stalls = 0
+            phys = physical_address(thread, addr)
+            line = phys >> l1_shift
+            entries = l1_sets[line & l1_mask]
+            for entry in entries:
+                if entry[0] == line:
+                    entries.remove(entry)
+                    break
+            line = phys >> line_shift
+            entries = sets[line & set_mask]
+            for entry in entries:
+                if entry[0] == line:
+                    entries.remove(entry)
+                    if dirty:
+                        entry[1] = True
+                    entries.append(entry)
+                    break
+            else:
+                if len(entries) >= assoc:
+                    del entries[0]
+                entries.append([line, dirty])
 
     # ----- instruction path ------------------------------------------------------
 

@@ -11,20 +11,22 @@ from __future__ import annotations
 
 from repro.memory.cache import (
     CacheConfig,
+    CacheHierarchy,
     InstructionCache,
     L1DataCache,
     L1_DATA,
     L2Cache,
 )
 from repro.memory.dram import RambusChannel
-from repro.memory.interface import (
-    AccessType,
-    MemorySystem,
-    physical_address,
-)
+from repro.memory.interface import AccessType, physical_address
+
+# Enum members as module globals: a global load is several times cheaper
+# than ``AccessType.X``, and the warming paths test the kind per call.
+_SCALAR_STORE = AccessType.SCALAR_STORE
+_VECTOR_STORE = AccessType.VECTOR_STORE
 
 
-class ConventionalHierarchy(MemorySystem):
+class ConventionalHierarchy(CacheHierarchy):
     """L1 <- L2 <- DRDRAM with 4 shared memory ports."""
 
     def __init__(
@@ -40,39 +42,15 @@ class ConventionalHierarchy(MemorySystem):
         self.l1 = L1DataCache(self.l2, config=l1_config)
         self.icache = InstructionCache(self.l2)
         self._ports = [0] * n_ports
-        # Expose sub-cache statistics through the common container.
         self.stats.l2 = self.l2.stats
-        self.stats.icache = self.icache.stats
         self._relink_stats()
-
-    def _relink_stats(self) -> None:
-        """Refresh the hot-path references into the stats container.
-
-        ``stats`` is replaced wholesale at the warmup boundary
-        (:meth:`reset_stats`), so the per-access code paths read these
-        cached references instead of chasing two attributes per counter.
-        """
-        self._l1_stats = self.stats.l1
-        self._icache_stats = self.stats.icache
-
-    # ----- ports -----------------------------------------------------------
-
-    def _acquire_port(self, now: int) -> int:
-        best = 0
-        for i in range(1, len(self._ports)):
-            if self._ports[i] < self._ports[best]:
-                best = i
-        start = max(now, self._ports[best])
-        self._ports[best] = start + 1
-        return start
 
     # ----- data path ----------------------------------------------------------
 
     def access(self, thread: int, addr: int, kind: AccessType, now: int) -> int:
         """One L1 transaction; updates L1 stats for a single reference."""
         phys = physical_address(thread, addr)
-        # Port acquisition, inlined (``_acquire_port`` kept for reference):
-        # first free port, first-minimum tie break.
+        # Port acquisition: first free port, first-minimum tie break.
         ports = self._ports
         free = min(ports)
         port = ports.index(free)
@@ -162,10 +140,6 @@ class ConventionalHierarchy(MemorySystem):
 
     # ----- warming-only path (sampled simulation fast-forward) -------------
 
-    def _warm_l2(self, phys: int, dirty: bool = False) -> None:
-        """Touch (or fill) the L2 line holding ``phys``; timing-free."""
-        self.l2.tags.fill(phys >> self.l2._line_shift, dirty=dirty)
-
     def warm(self, thread: int, addr: int, kind: AccessType) -> None:
         """Tag/replacement update matching :meth:`access`, no timing.
 
@@ -176,22 +150,49 @@ class ConventionalHierarchy(MemorySystem):
         write buffer drain is timing-only).
         """
         phys = physical_address(thread, addr)
-        line = phys >> self.l1._line_shift
-        tags = self.l1.tags
-        if kind is AccessType.SCALAR_STORE or kind is AccessType.VECTOR_STORE:
-            tags.lookup(line)
+        l1 = self.l1
+        line = phys >> l1._line_shift
+        tags = l1.tags
+        entries = tags._sets[line & tags._set_mask]
+        for entry in entries:
+            if entry[0] == line:
+                if entry is not entries[-1]:
+                    entries.remove(entry)
+                    entries.append(entry)
+                return
+        if kind is _SCALAR_STORE or kind is _VECTOR_STORE:
             return
-        if not tags.lookup(line):
-            tags.fill(line)
-            self._warm_l2(phys)
+        if len(entries) >= tags.assoc:
+            del entries[0]
+        entries.append([line, False])
+        l2 = self.l2
+        line = phys >> l2._line_shift
+        tags = l2.tags
+        entries = tags._sets[line & tags._set_mask]
+        for entry in entries:
+            if entry[0] == line:
+                entries.remove(entry)
+                entries.append(entry)
+                return
+        if len(entries) >= tags.assoc:
+            del entries[0]
+        entries.append([line, False])
 
     def warm_stream(
         self, thread: int, base: int, stride: int, count: int, kind: AccessType
     ) -> None:
         """Per-L1-line coalesced warming, mirroring :meth:`access_stream`."""
-        is_store = kind is AccessType.VECTOR_STORE
-        line_shift = self.l1._line_shift
-        tags = self.l1.tags
+        is_store = kind is _VECTOR_STORE
+        l1 = self.l1
+        line_shift = l1._line_shift
+        sets = l1.tags._sets
+        set_mask = l1.tags._set_mask
+        assoc = l1.tags.assoc
+        l2 = self.l2
+        l2_shift = l2._line_shift
+        l2_sets = l2.tags._sets
+        l2_mask = l2.tags._set_mask
+        l2_assoc = l2.tags.assoc
         index = 0
         while index < count:
             addr = base + index * stride
@@ -202,36 +203,33 @@ class ConventionalHierarchy(MemorySystem):
                 and (base + (index + group) * stride) >> line_shift == line
             ):
                 group += 1
-            phys = physical_address(thread, addr)
-            phys_line = phys >> line_shift
-            if is_store:
-                tags.lookup(phys_line)
-            elif not tags.lookup(phys_line):
-                tags.fill(phys_line)
-                self._warm_l2(phys)
             index += group
-
-    def warm_fetch(self, thread: int, pc: int) -> None:
-        """I-cache tag warming matching :meth:`fetch` (fills from L2)."""
-        phys = physical_address(thread, pc)
-        tags = self.icache.tags
-        line = phys >> self.icache._line_shift
-        if not tags.lookup(line):
-            tags.fill(line)
-            self._warm_l2(phys)
-
-    def reset_stats(self) -> None:
-        from repro.memory.interface import CacheStats, MemoryStats
-
-        self.stats = MemoryStats()
-        self.l2.stats = CacheStats()
-        self.stats.l2 = self.l2.stats
-        self._relink_stats()
-        self.write_buffer_reset()
-
-    def write_buffer_reset(self) -> None:
-        self.l1.write_buffer.coalesced = 0
-        self.l1.write_buffer.full_stalls = 0
+            phys = physical_address(thread, addr)
+            line = phys >> line_shift
+            entries = sets[line & set_mask]
+            for entry in entries:
+                if entry[0] == line:
+                    if entry is not entries[-1]:
+                        entries.remove(entry)
+                        entries.append(entry)
+                    break
+            else:
+                if is_store:
+                    continue
+                if len(entries) >= assoc:
+                    del entries[0]
+                entries.append([line, False])
+                line = phys >> l2_shift
+                entries = l2_sets[line & l2_mask]
+                for entry in entries:
+                    if entry[0] == line:
+                        entries.remove(entry)
+                        entries.append(entry)
+                        break
+                else:
+                    if len(entries) >= l2_assoc:
+                        del entries[0]
+                    entries.append([line, False])
 
     # ----- instruction path -------------------------------------------------------
 

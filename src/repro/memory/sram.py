@@ -14,9 +14,9 @@ class TagArray:
     Each set is an ordered list of (tag, dirty) pairs, most recently used
     last.  Associativity 1 gives a direct-mapped cache.
 
-    This sits on the hot path of every simulated memory reference, so the
-    methods index ``_sets`` directly instead of going through the
-    ``_set_of``/``_tag_of`` helpers (kept for readability and tests).
+    The hottest callers (the detailed ``load_line``/``fetch`` paths and
+    the hierarchies' warming paths) index ``_sets`` inline with the
+    same logic instead of calling these methods.
     """
 
     __slots__ = ("n_sets", "assoc", "_sets", "_set_mask")
@@ -30,13 +30,6 @@ class TagArray:
         self.assoc = assoc
         self._set_mask = n_sets - 1
         self._sets: list[list[list]] = [[] for __ in range(n_sets)]
-
-    def _set_of(self, line_addr: int) -> list[list]:
-        return self._sets[line_addr & self._set_mask]
-
-    @staticmethod
-    def _tag_of(line_addr: int) -> int:
-        return line_addr
 
     def lookup(self, line_addr: int, update_lru: bool = True) -> bool:
         """True if the line is present; touches LRU on hit by default."""

@@ -13,6 +13,7 @@ resource balancing (and the BALANCE fetch policy) interesting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import (
@@ -67,7 +68,7 @@ class Trace:
         """
         if self._expanded_length is None:
             self._expanded_length = sum(
-                inst.stream_length for inst in self.instructions
+                map(attrgetter("stream_length"), self.instructions)
             )
         return self._expanded_length
 

@@ -26,12 +26,16 @@ from repro.analysis.runner import (
     workload_traces,
 )
 from repro.core import SMTConfig, SMTProcessor
+from repro.core.smt import _FF_CHUNK, _FF_FETCH, _ff_plan
 from repro.core.stats import mean_ci95, t_critical_95
 from repro.memory.cache import L2Cache
 from repro.memory.decoupled import DecoupledHierarchy
 from repro.memory.dram import RambusChannel
 from repro.memory.hierarchy import ConventionalHierarchy
 from repro.memory.interface import AccessType
+from repro.tracegen.builder import TraceBuilder
+from repro.tracegen.mixes import WORKLOAD_MIXES
+from repro.tracegen.program import Trace
 from repro.workloads import build_workload_traces
 
 #: Tiny-scale runs for the fast structural tests.
@@ -275,6 +279,80 @@ class TestWarmingPath:
         mem.warm(0, 0x4000, AccessType.SCALAR_LOAD)
         mem.access(0, 0x4000, AccessType.SCALAR_LOAD, now=0)
         assert mem.stats.l1.hits == 1
+
+
+# ------------------------------------------------------------- fast-forward
+
+#: Two I-lines of one 4 KB page, and a line of another page.
+LINE_A, LINE_B, LINE_X = 0x10000, 0x10020, 0x11000
+
+
+def pc_trace(pcs) -> Trace:
+    """A hand-built trace of integer operations at the given PCs."""
+    builder = TraceBuilder("mmx", seed=1)
+    for pc in pcs:
+        builder.int_op(pc=pc)
+    return Trace(
+        name="hand",
+        isa="mmx",
+        instructions=builder.instructions,
+        mmx_equivalent=len(pcs),
+        mix=WORKLOAD_MIXES["gsmdec"],
+    )
+
+
+def iline_prevs(trace: Trace) -> list[int]:
+    """Each I-line event's same-page predecessor index (-1: none)."""
+    _, __, events, ___ = _ff_plan(trace)
+    return [event[3] for event in events if event[1] == _FF_FETCH]
+
+
+class TestFastForwardPlan:
+    def test_same_page_repeat_is_marked_skippable(self):
+        trace = pc_trace([LINE_A, LINE_B, LINE_A])
+        assert iline_prevs(trace) == [-1, -1, 0]
+
+    def test_repeat_across_pages_is_not(self):
+        trace = pc_trace([LINE_A, LINE_X, LINE_A])
+        assert iline_prevs(trace) == [-1, -1, -1]
+
+    def test_repeat_after_a_chunk_boundary_is_still_warmed(self):
+        # The repeat at index 2 follows its predecessor in the same
+        # chunk and is skipped; the one at the first index of the second
+        # chunk follows other threads' chunks in a real run, so it warms.
+        pcs = [LINE_A, LINE_B, LINE_A]
+        pcs += [LINE_B] * (_FF_CHUNK - len(pcs)) + [LINE_A]
+        trace = pc_trace(pcs)
+        assert iline_prevs(trace) == [-1, -1, 0, 1, 2]
+        memory = ConventionalHierarchy()
+        warm_fetch = memory.warm_fetch
+        warmed = []
+
+        def counting_warm_fetch(thread, pc):
+            warmed.append(pc)
+            warm_fetch(thread, pc)
+
+        memory.warm_fetch = counting_warm_fetch
+        processor = SMTProcessor(
+            SMTConfig(isa="mmx", n_threads=1, sampling=TINY_SAMPLING),
+            memory,
+            [trace],
+            completions_target=1,
+        )
+        processor._fast_forward(len(pcs))
+        assert processor.committed == len(pcs)
+        assert warmed == [LINE_A, LINE_B, LINE_A]
+
+    @pytest.mark.parametrize("isa", ["mmx", "mom"])
+    def test_plan_events_hold_only_ints(self, isa):
+        # Int-only tuples leave the cyclic GC's tracked set at their first
+        # collection; an object field (an enum, None) would keep a
+        # million plan events in every full collection.
+        for trace in build_workload_traces(isa, scale=SCALE):
+            _, __, events, ___ = _ff_plan(trace)
+            assert events
+            for event in events:
+                assert all(type(field) in (int, bool) for field in event)
 
 
 # ------------------------------------------------------------------ plumbing

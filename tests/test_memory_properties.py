@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.memory import ConventionalHierarchy, DecoupledHierarchy
 from repro.memory.cache import CacheConfig
-from repro.memory.interface import AccessType as AT
+from repro.memory.interface import AccessType as AT, physical_address
 from repro.memory.sram import TagArray
 
 addresses = st.lists(
@@ -164,6 +164,27 @@ def tag_state(memory) -> dict:
     }
 
 
+def two_way_l1() -> ConventionalHierarchy:
+    """A conventional hierarchy with a 2-way L1: it accepts any L1
+    geometry, so its inline warming code must not assume direct mapping."""
+    return ConventionalHierarchy(
+        l1_config=CacheConfig(
+            "L1D", size=32 << 10, assoc=2, line=32, banks=8, latency=1
+        )
+    )
+
+
+def warm_ops(memory, ops) -> None:
+    """Drive ``ops`` (see :data:`operations`) through the warming path."""
+    for op, thread, addr, stride, count in ops:
+        if op == "fetch":
+            memory.warm_fetch(thread, addr)
+        elif count > 1:
+            memory.warm_stream(thread, addr, stride, count, _KINDS[op])
+        else:
+            memory.warm(thread, addr, _KINDS[op])
+
+
 class TestWarmingMatchesDetail:
     """``MemorySystem.warm`` promises the tag state the detailed path
     leaves.  The sampled fast-forward carries most of a sampled run's
@@ -173,7 +194,12 @@ class TestWarmingMatchesDetail:
     landed."""
 
     @pytest.mark.parametrize(
-        "hierarchy", [ConventionalHierarchy, DecoupledHierarchy]
+        "hierarchy",
+        [
+            ConventionalHierarchy,
+            DecoupledHierarchy,
+            pytest.param(two_way_l1, id="ConventionalHierarchy-2way-L1"),
+        ],
     )
     @given(ops=operations)
     @settings(max_examples=60, deadline=None)
@@ -194,3 +220,71 @@ class TestWarmingMatchesDetail:
                 warmed.warm(thread, addr, _KINDS[op])
                 detailed.access(thread, addr, _KINDS[op], now)
         assert tag_state(warmed) == tag_state(detailed)
+
+
+class TestSamePageILineRewarm:
+    """The sampled fast-forward skips warming an I-line again when every
+    I-line the same thread warmed since its previous warm of that line
+    lies in the line's own 4 KB page (``core/smt.py:_ff_plan``).  That is
+    exact because page-offset bits 5-11 index the I-cache set: nothing in
+    between touched the line's set, and the data references in between
+    never touch the I-cache, so the skipped warm is a hit on the set's
+    most recently used line."""
+
+    @pytest.mark.parametrize(
+        "hierarchy", [ConventionalHierarchy, DecoupledHierarchy]
+    )
+    @given(
+        prior=operations,
+        thread=_threads,
+        page=st.integers(0, 47),
+        line=st.integers(0, 127),
+        between=operations,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_page_rewarm_changes_nothing(
+        self, hierarchy, prior, thread, page, line, between
+    ):
+        memory = hierarchy()
+        warm_ops(memory, prior)
+        line_addr = (page << 12) | (line << 5)
+        memory.warm_fetch(thread, line_addr)
+        for op, __, addr, stride, count in between:
+            if op == "fetch":
+                # Another line of the same page, instead of ``addr``.
+                other = (addr >> 5) & 127
+                if other != line:
+                    memory.warm_fetch(thread, (page << 12) | (other << 5))
+            else:
+                warm_ops(memory, [(op, thread, addr, stride, count)])
+        before = tag_state(memory)
+        memory.warm_fetch(thread, line_addr)
+        assert tag_state(memory) == before
+
+    @pytest.mark.parametrize(
+        "hierarchy", [ConventionalHierarchy, DecoupledHierarchy]
+    )
+    def test_a_line_of_another_page_in_between_can_change_it(
+        self, hierarchy
+    ):
+        memory = hierarchy()
+        icache = memory.icache
+
+        def set_of(addr: int) -> int:
+            phys = physical_address(0, addr)
+            return (phys >> icache._line_shift) & icache.tags._set_mask
+
+        line_addr = 0x10040
+        # The same page offset in another page whose frame shares the
+        # I-cache set (the set index's bits above the page offset come
+        # from the frame number).
+        other = next(
+            addr
+            for addr in range(line_addr + 4096, line_addr + (1 << 22), 4096)
+            if set_of(addr) == set_of(line_addr)
+        )
+        memory.warm_fetch(0, line_addr)
+        memory.warm_fetch(0, other)
+        before = tag_state(memory)
+        memory.warm_fetch(0, line_addr)
+        assert tag_state(memory) != before
