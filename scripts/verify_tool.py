@@ -4,7 +4,7 @@
 Usage:
     python scripts/verify_tool.py            # all checks + codelint
     python scripts/verify_tool.py isa        # ISA table cross-validation
-    python scripts/verify_tool.py asm        # lint examples + kernel library
+    python scripts/verify_tool.py asm        # lint the MOM example + codegen
     python scripts/verify_tool.py traces     # validate generated traces
     python scripts/verify_tool.py lint       # whole-repo AST invariant linter
     python scripts/verify_tool.py cache      # integrity-scan the runcache
@@ -31,6 +31,7 @@ Exit status (CI keys on these — see docs/VERIFY.md):
 
 import json
 import os
+import runpy
 import sys
 
 from repro.isa import codegen
@@ -46,7 +47,13 @@ from repro.verify import codelint
 #: large enough to exercise every emission path of the generator.
 TRACE_SCALE = 2e-5
 
-#: The kernel library: representative instances of every generator.
+#: The example whose assembly listings ``asm`` lints.
+MOM_ASSEMBLY_EXAMPLE = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "examples",
+    "mom_assembly.py",
+)
+
+#: One instance of every assembly generator in repro.isa.codegen.
 KERNEL_PROGRAMS = {
     "codegen.mom_dot_product": lambda: codegen.mom_dot_product(0x1000, 0x2000, 64),
     "codegen.mom_sad": lambda: codegen.mom_sad(0x1000, 0x2000, 128),
@@ -66,16 +73,12 @@ def run_isa(report: Report) -> None:
 
 
 def run_asm(report: Report) -> None:
-    import examples.mom_assembly as mom_assembly
-
-    # Assembly listings are the module's multi-line string constants
+    # Assembly listings are the example's multi-line string constants
     # (DOT_PRODUCT, SAD_16x8, ...).
     sources = {
         name: value
-        for name in dir(mom_assembly)
-        if not name.startswith("_")
-        and isinstance(value := getattr(mom_assembly, name), str)
-        and "\n" in value
+        for name, value in runpy.run_path(MOM_ASSEMBLY_EXAMPLE).items()
+        if not name.startswith("_") and isinstance(value, str) and "\n" in value
     }
     for name, source in sorted(sources.items()):
         report.extend(

@@ -3,12 +3,14 @@ Media Workloads" (Corbal, Espasa, Valero — HPCA 2001).
 
 The package is organized bottom-up:
 
-* :mod:`repro.isa` — the scalar/MMX/MOM instruction sets, executable
-  packed semantics, an architectural machine and an assembler;
-* :mod:`repro.kernels` — functional media kernels and codecs (DCT,
-  motion estimation, JPEG, GSM, MPEG-2, a Mesa-like 3D pipeline);
-* :mod:`repro.tracegen` — the trace compiler calibrated to the paper's
-  Table 3 instruction breakdown;
+* :mod:`repro.isa` — the opcode classes, logical registers and decoded
+  instruction record of the scalar/MMX/MOM instruction sets, plus an
+  executable reference model of them (mnemonic tables, packed
+  semantics, an architectural machine and an assembler) that no
+  simulation imports;
+* :mod:`repro.tracegen` — the trace compiler: kernel regions are
+  parameterized by per-element costs calibrated to the paper's Table 3
+  instruction breakdown;
 * :mod:`repro.workloads` — the Mediabench-derived multiprogrammed
   workload and the §5.1 rotation methodology;
 * :mod:`repro.memory` — the cache hierarchies (conventional and

@@ -442,7 +442,7 @@ class SMTProcessor:
 
     # codelint: hot-loop — runs once per simulated cycle; the HOT-*
     # rules keep per-cycle interpreter cost out of it: hoisted locals,
-    # no per-iteration allocation, no closures (docs/VERIFY.md).
+    # no self attribute lookups in its loops (docs/VERIFY.md).
     def step(self) -> bool:
         """Advance one cycle; returns whether any pipeline work happened.
 
@@ -986,7 +986,7 @@ class SMTProcessor:
 
     # codelint: hot-loop — walks every eventful instruction of the
     # sampled fast-forward; the HOT-* rules keep the hoisted walk free
-    # of per-event attribute lookups and allocations (docs/VERIFY.md).
+    # of per-event attribute lookups (docs/VERIFY.md).
     def _fast_forward(self, budget: int) -> None:
         """Functionally retire ``budget`` (expanded) instructions.
 

@@ -1,6 +1,6 @@
 """Instruction-set substrate for the DLP+TLP reproduction.
 
-This package defines the three instruction sets the paper evaluates:
+The paper evaluates three instruction sets:
 
 * the scalar Alpha-like base ISA (integer, floating point, memory, branch),
 * the MMX-like packed µ-SIMD extension (67 opcodes, 32 logical 64-bit
@@ -9,52 +9,18 @@ This package defines the three instruction sets the paper evaluates:
   registers of 16 64-bit words, two 192-bit packed accumulators, a
   stream-length register and a stride field).
 
-It also provides executable semantics for packed sub-word arithmetic so the
-media kernels can be validated against reference implementations.
+The simulator is trace-driven, so it models these ISAs at the level its
+timing needs: :mod:`repro.isa.opcodes` holds the opcode classes with
+their issue queues, functional units and latencies,
+:mod:`repro.isa.registers` the logical register classes, and
+:mod:`repro.isa.instruction` the decoded instruction record every trace
+is made of.
+
+The rest of the package is an executable reference model that no
+simulation imports: the mnemonic tables (:mod:`repro.isa.mmx`,
+:mod:`repro.isa.mom`), packed sub-word semantics
+(:mod:`repro.isa.datatypes`, :mod:`repro.isa.semantics`), an
+architectural machine with an assembler (:mod:`repro.isa.machine`,
+:mod:`repro.isa.assembler`) and assembly generators
+(:mod:`repro.isa.codegen`).
 """
-
-from repro.isa.datatypes import (
-    ElementType,
-    LANE_COUNTS,
-    pack_lanes,
-    unpack_lanes,
-    saturate,
-)
-from repro.isa.opcodes import (
-    FuClass,
-    Opcode,
-    OPCODE_INFO,
-    latency_of,
-    fu_class_of,
-)
-from repro.isa.instruction import Instruction
-from repro.isa.registers import RegisterClass, LogicalRegisters
-from repro.isa.mmx import MMX_OPCODES, MMX_LOGICAL_REGISTERS
-from repro.isa.mom import (
-    MOM_OPCODES,
-    MOM_STREAM_REGISTERS,
-    MOM_MAX_STREAM_LENGTH,
-    MOM_ACCUMULATORS,
-)
-
-__all__ = [
-    "ElementType",
-    "LANE_COUNTS",
-    "pack_lanes",
-    "unpack_lanes",
-    "saturate",
-    "FuClass",
-    "Opcode",
-    "OPCODE_INFO",
-    "latency_of",
-    "fu_class_of",
-    "Instruction",
-    "RegisterClass",
-    "LogicalRegisters",
-    "MMX_OPCODES",
-    "MMX_LOGICAL_REGISTERS",
-    "MOM_OPCODES",
-    "MOM_STREAM_REGISTERS",
-    "MOM_MAX_STREAM_LENGTH",
-    "MOM_ACCUMULATORS",
-]

@@ -14,7 +14,7 @@ assume lengths that are multiples of the vectorization width.
 from __future__ import annotations
 
 from repro.isa.assembler import Program, assemble
-from repro.isa.mom import MOM_MAX_STREAM_LENGTH
+from repro.isa.registers import MOM_MAX_STREAM_LENGTH
 
 #: int16 elements per 64-bit register.
 LANES = 4

@@ -4,8 +4,10 @@ While :mod:`repro.core` models *timing*, this module models *function*:
 a register file, a byte-addressed memory, and an executor for assembly
 programs written with the real MMX/MOM mnemonics.  It exists so the ISA
 tables are not just documentation — kernels can be written in MOM
-assembly, executed, and checked against the Python reference kernels
+assembly, executed, and checked against plain reference arithmetic
 (see ``tests/test_isa_machine.py`` and ``examples/mom_assembly.py``).
+No simulation imports it: the timing model reads only the opcode
+classes of :mod:`repro.isa.opcodes`.
 
 Supported instruction forms (see :mod:`repro.isa.assembler` for syntax):
 
@@ -25,11 +27,11 @@ from repro.isa.datatypes import ElementType as ET, REGISTER_BITS
 from repro.isa.mmx import MMX_LOGICAL_REGISTERS, MMX_OPCODES
 from repro.isa.mom import (
     MOM_ACCUMULATORS,
-    MOM_MAX_STREAM_LENGTH,
     MOM_OPCODES,
     MOM_STREAM_REGISTERS,
 )
 from repro.isa.opcodes import Opcode
+from repro.isa.registers import MOM_MAX_STREAM_LENGTH
 from repro.isa.semantics import (
     PackedAccumulator,
     execute_mmx,

@@ -25,9 +25,6 @@ from repro.isa.spec import MnemonicSpec, build_table
 #: Logical stream registers.
 MOM_STREAM_REGISTERS = 16
 
-#: 64-bit words per stream register (= max stream length).
-MOM_MAX_STREAM_LENGTH = 16
-
 #: Packed 192-bit accumulators.
 MOM_ACCUMULATORS = 2
 

@@ -30,6 +30,10 @@ LOGICAL_COUNTS: dict[RegisterClass, int] = {
     RegisterClass.ACC: 2,
 }
 
+#: 64-bit words in one MOM stream register: the longest stream a MOM
+#: instruction can carry (the stream-length register ranges 1..16).
+MOM_MAX_STREAM_LENGTH = 16
+
 _CLASS_SHIFT = 8
 _INDEX_MASK = (1 << _CLASS_SHIFT) - 1
 

@@ -1,10 +1,10 @@
 """Executable semantics for the packed µ-SIMD operations.
 
 This module makes the ISA tables *runnable*: given a mnemonic and 64-bit
-register images it computes the architecturally-defined result.  The media
-kernels in :mod:`repro.kernels` use these semantics in their packed
-implementations, and the test suite checks them against plain-Python
-reference code (saturation laws, commutativity, pack/unpack inverses...).
+register images it computes the architecturally-defined result.
+:mod:`repro.isa.machine` executes assembly programs with them, and the
+test suite checks them against plain-Python reference code (saturation
+laws, commutativity, pack/unpack inverses...).
 
 MOM stream operations apply the corresponding MMX semantics element-wise
 over a list of 64-bit words (:func:`execute_mom`), which is exactly how the
@@ -155,10 +155,10 @@ UNARY_MNEMONICS = frozenset(_UNARY_SEMANTICS)
 def execute_mmx(mnemonic: str, a: int, b: int = 0, imm: int = 0) -> int:
     """Execute one MMX-like packed operation on 64-bit register images.
 
-    Supports the arithmetic/logic/format subset used by the media kernels;
+    Supports the arithmetic/logic/format subset of media kernels;
     raises ``KeyError`` for mnemonics without modeled semantics (e.g.
-    memory operations, which the kernels perform through plain array
-    access).
+    memory operations, which :mod:`repro.isa.machine` performs on its
+    byte memory).
     """
     if mnemonic in _BINARY_SEMANTICS:
         etype, op, saturating = _BINARY_SEMANTICS[mnemonic]

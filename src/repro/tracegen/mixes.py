@@ -26,8 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.isa.registers import MOM_MAX_STREAM_LENGTH
+
 #: Stream length MOM instructions are generated with (the ISA maximum).
-STREAM_LENGTH = 16
+STREAM_LENGTH = MOM_MAX_STREAM_LENGTH
 
 #: Integer instructions (address update, loop branch, occasional SLR write)
 #: a MOM kernel needs per 16-element chunk.

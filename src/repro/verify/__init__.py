@@ -1,4 +1,4 @@
-"""Static ISA/assembly checking and runtime invariant sanitizing.
+"""Static trace and source checking, and runtime invariant sanitizing.
 
 Static checkers (pure functions returning
 :class:`~repro.verify.diagnostics.Diagnostic` lists):
@@ -7,7 +7,8 @@ Static checkers (pure functions returning
   SLR discipline, accumulator discipline, arity/classes, labels);
 * :mod:`repro.verify.isacheck` — cross-validates the ISA tables against
   the opcode classes and the semantics handlers;
-* :mod:`repro.verify.tracecheck` — validates generated dynamic traces.
+* :mod:`repro.verify.tracecheck` — validates generated dynamic traces;
+* :mod:`repro.verify.codelint` — the repo-wide AST invariant linter.
 
 Runtime layer:
 
@@ -17,27 +18,7 @@ Runtime layer:
   (worker hangs, crashes, cache corruption) for exercising the
   resilience layer of :mod:`repro.analysis.runner` in tests and CI.
 
-``scripts/verify_tool.py`` runs all static checks over the examples,
-the kernel library and the trace generator; see ``docs/VERIFY.md``.
+``scripts/verify_tool.py`` runs the static checks over the ISA tables,
+the assembly example and generators, the trace generator and the
+source tree; see ``docs/VERIFY.md``.
 """
-
-from repro.verify.asmcheck import lint_program, lint_source
-from repro.verify.diagnostics import Diagnostic, Report, Severity
-from repro.verify.faultinject import FaultPlan, SimulatedWorkerCrash
-from repro.verify.isacheck import check_isa
-from repro.verify.sanitizer import InvariantViolation, RuntimeSanitizer
-from repro.verify.tracecheck import check_trace
-
-__all__ = [
-    "Diagnostic",
-    "FaultPlan",
-    "InvariantViolation",
-    "Report",
-    "RuntimeSanitizer",
-    "Severity",
-    "SimulatedWorkerCrash",
-    "check_isa",
-    "check_trace",
-    "lint_program",
-    "lint_source",
-]

@@ -36,10 +36,10 @@ from repro.isa.machine import (
 from repro.isa.mmx import MMX_LOGICAL_REGISTERS, MMX_OPCODES
 from repro.isa.mom import (
     MOM_ACCUMULATORS,
-    MOM_MAX_STREAM_LENGTH,
     MOM_OPCODES,
     MOM_STREAM_REGISTERS,
 )
+from repro.isa.registers import MOM_MAX_STREAM_LENGTH
 from repro.verify.diagnostics import Diagnostic, error, warning
 
 CHECKER = "asmcheck"

@@ -13,7 +13,7 @@ on (see ``docs/VERIFY.md`` for the full catalog and suppression syntax):
   survive pickling; module-level mutable state is named as audited;
 * **HOT-*** — functions marked ``# codelint: hot-loop`` keep the
   per-cycle interpreter cost the hoisting removed out of their loops
-  (hoisted locals, no per-iteration allocation, no closures).
+  (hoisted locals, no ``self`` lookups per iteration).
 
 Entry points: :func:`lint_repo` (the real tree),
 :func:`lint_sources` (in-memory fixtures — the test suite and the

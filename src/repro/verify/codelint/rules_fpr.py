@@ -18,8 +18,8 @@ This cross-module analysis closes the loop structurally.  Every
   ``core/params.py`` itself, which the fingerprint's code-version hash
   already covers.
 
-The exemption table is itself audited (stale or contradictory entries
-are errors), mirroring ``TIMING_ONLY_MNEMONICS`` from PR 1's isacheck.
+The exemption table is itself audited: stale or contradictory entries
+are errors, so every exemption names a field that still exists.
 """
 
 from __future__ import annotations

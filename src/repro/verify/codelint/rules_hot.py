@@ -18,13 +18,11 @@ into such a function, and nothing fails when it does:
 * HOT-ATTR-CHAIN — ``self.a.b`` in a loop body: one such lookup per
   link; a re-introduced ``self.config.commit_width`` inside the commit
   loop costs two dict lookups per cycle.
-* HOT-ALLOC — a dict/set/comprehension in a loop body: a heap
-  allocation and free per iteration (and, before Python 3.12, a
-  comprehension's own frame).
-* HOT-CLOSURE — a lambda or nested def anywhere in the function: a new
-  function object on every call, i.e. every cycle, and every local it
-  captures becomes a cell variable, so each use of that local pays a
-  cell dereference instead of a fast-local load.
+
+There is no rule against a dict literal in a per-cycle loop or a
+closure in ``step()``: one planted instance of each cost less than the
+run-to-run spread of the perf benchmark's ``detail-1e-4`` workload
+(docs/VERIFY.md).
 
 Rare-path exceptions take a per-line suppression with its rationale in
 the comment.
@@ -37,9 +35,6 @@ from typing import Iterator
 
 from repro.verify.codelint.engine import SourceFile, checker, lint_error
 from repro.verify.diagnostics import Diagnostic
-
-_ALLOC_NODES = (ast.Dict, ast.Set, ast.DictComp, ast.SetComp,
-                ast.ListComp, ast.GeneratorExp)
 
 
 def _self_chain_depth(node: ast.Attribute) -> int:
@@ -67,24 +62,6 @@ class _HotVisitor:
 
     def run(self) -> list[Diagnostic]:
         name = self.func.name
-        for stmt in ast.walk(self.func):
-            if stmt is self.func:
-                continue
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._flag(
-                    "HOT-CLOSURE", stmt,
-                    f"nested function {stmt.name!r} in hot loop {name!r}: "
-                    "builds a function object every call and turns the "
-                    "locals it captures into cells; move it to module "
-                    "scope",
-                )
-            elif isinstance(stmt, ast.Lambda):
-                self._flag(
-                    "HOT-CLOSURE", stmt,
-                    f"lambda in hot loop {name!r} allocates a closure per "
-                    "evaluation; use a module-level function or "
-                    "precomputed table",
-                )
         for loop in self._loops(self.func):
             for body in self._loop_exprs(loop):
                 self._scan_loop_body(body, name)
@@ -108,7 +85,7 @@ class _HotVisitor:
             node = stack.pop()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.Lambda)):
-                continue  # nested scope; HOT-CLOSURE already fired
+                continue  # nested scope: not run per iteration
             if isinstance(node, ast.Attribute):
                 depth = _self_chain_depth(node)
                 if depth >= 2:
@@ -145,14 +122,6 @@ class _HotVisitor:
                         )
                         probe = probe.value
                     continue
-            if isinstance(node, _ALLOC_NODES):
-                self._flag(
-                    "HOT-ALLOC", node,
-                    f"{type(node).__name__} allocation inside a loop of "
-                    f"hot function {name!r}: preallocate outside the loop "
-                    "or use flat tables (a heap allocation and free per "
-                    "iteration)",
-                )
             stack.extend(ast.iter_child_nodes(node))
 
 
@@ -167,15 +136,6 @@ class _HotVisitor:
         "HOT-ATTR-CHAIN": (
             "self.a.b attribute chain inside a marked hot loop "
             "(two dict lookups per iteration; hoist)"
-        ),
-        "HOT-ALLOC": (
-            "dict/set/comprehension allocation inside a marked hot loop "
-            "(a heap allocation and free per iteration)"
-        ),
-        "HOT-CLOSURE": (
-            "lambda or nested def in a marked hot-loop function "
-            "(a function object per call, i.e. per cycle; captured "
-            "locals become cells)"
         ),
     },
 )

@@ -192,10 +192,8 @@ def check_pool_callables(source: SourceFile) -> Iterator[Diagnostic]:
             "constant/per-process memo"
         ),
     },
-    scope=tuple(
-        p for p in ("core/", "memory/", "isa/", "tracegen/", "workloads/",
-                    "obs/", "analysis/", "verify/", "kernels/")
-    ),
+    scope=("core/", "memory/", "isa/", "tracegen/", "workloads/", "obs/",
+           "analysis/", "verify/"),
 )
 def check_mutable_globals(source: SourceFile) -> Iterator[Diagnostic]:
     def is_mutable(value: ast.AST) -> bool:

@@ -22,10 +22,10 @@ against the ISA's static structure:
 
 from __future__ import annotations
 
-from repro.isa.mom import MOM_MAX_STREAM_LENGTH
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import (
     LOGICAL_COUNTS,
+    MOM_MAX_STREAM_LENGTH,
     NO_REG,
     reg_class,
     reg_index,

@@ -45,15 +45,6 @@ def test_simulation_examples_run(name, capsys):
     assert len(out) > 100
 
 
-def test_mpeg2_pipeline_example(capsys):
-    module = load_example("mpeg2_pipeline")
-    module.encode_decode()
-    module.packed_sad_demo()
-    out = capsys.readouterr().out
-    assert "PSNR" in out
-    assert "MOM vsadab" in out
-
-
 def test_mom_assembly_example(capsys):
     module = load_example("mom_assembly")
     module.main()
@@ -61,10 +52,3 @@ def test_mom_assembly_example(capsys):
     assert "dot product" in out
     assert "SAD" in out
 
-
-def test_media_codecs_example(capsys):
-    module = load_example("media_codecs")
-    module.jpeg_demo()
-    module.gsm_demo()
-    out = capsys.readouterr().out
-    assert "JPEG" in out and "GSM" in out

@@ -1,7 +1,7 @@
 """Tests for the architectural machine and the assembler.
 
 The key property: kernels written in MOM assembly produce bit-identical
-results to the Python reference kernels — the ISA tables are executable.
+results to plain reference arithmetic — the ISA tables are executable.
 """
 
 import numpy as np
@@ -198,8 +198,6 @@ class TestMomExecution:
         assert m.acc[0].total() == int(np.dot(a, b))
 
     def test_sad_matches_kernel(self):
-        from repro.kernels.blockmatch import sad_block
-
         m = MediaMachine()
         cur = rng.integers(0, 256, 128)
         ref = rng.integers(0, 256, 128)
@@ -216,7 +214,7 @@ class TestMomExecution:
             vsadab a1, v0, v1
             """
         ).run(m)
-        expected = sad_block(cur.reshape(8, 16), ref.reshape(8, 16))
+        expected = int(np.abs(cur.astype(np.int64) - ref).sum())
         assert m.acc[1].lanes[0] == expected
 
     def test_slr_respected(self):

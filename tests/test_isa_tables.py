@@ -7,7 +7,6 @@ from repro.isa.mmx import EXPECTED_MMX_OPCODE_COUNT, MMX_LOGICAL_REGISTERS, MMX_
 from repro.isa.mom import (
     EXPECTED_MOM_OPCODE_COUNT,
     MOM_ACCUMULATORS,
-    MOM_MAX_STREAM_LENGTH,
     MOM_OPCODES,
     MOM_STREAM_REGISTERS,
 )
@@ -24,6 +23,7 @@ from repro.isa.opcodes import (
 )
 from repro.isa.registers import (
     LOGICAL_COUNTS,
+    MOM_MAX_STREAM_LENGTH,
     LogicalRegisters,
     RegisterClass,
     make_reg,
@@ -45,9 +45,9 @@ class TestPaperCounts:
         assert LOGICAL_COUNTS[RegisterClass.MMX] == 32
 
     def test_mom_register_geometry(self):
-        assert MOM_STREAM_REGISTERS == 16
+        assert MOM_STREAM_REGISTERS == LOGICAL_COUNTS[RegisterClass.STREAM] == 16
         assert MOM_MAX_STREAM_LENGTH == 16
-        assert MOM_ACCUMULATORS == 2
+        assert MOM_ACCUMULATORS == LOGICAL_COUNTS[RegisterClass.ACC] == 2
 
     def test_all_mmx_specs_map_to_mmx_sim_classes(self):
         for spec in MMX_OPCODES.values():
