@@ -23,12 +23,13 @@ Runtime knobs:
 The sweep is fault tolerant (``docs/RESILIENCE.md``): every completed
 simulation persists to the runcache immediately, so a sweep killed at
 any point — even SIGKILL — resumes from its completed points on the
-next invocation (a figure-level checkpoint in the cache directory
-reports what a resumed sweep skipped).  ``--timeout`` bounds each run's
-wall clock, transient worker failures retry with seeded backoff, and
-``--max-failures`` / ``--fail-fast`` choose between salvaging partial
-results and aborting early; a sweep that still has permanently-failed
-points prints a structured failure report and exits with status 3.
+next invocation (the report's ``runs:`` line counts what was cached).
+A dead worker's points re-run on a fresh pool up to ``--retries``
+times, ``--timeout`` kills and fails a run that exceeds its wall-clock
+budget, and ``--max-failures`` / ``--fail-fast`` choose between
+salvaging partial results and aborting early; a sweep that still has
+permanently-failed points prints a structured failure report and exits
+with status 3.
 
 Usage:  python scripts/run_experiments.py [--scale S] [--jobs N]
             [--no-cache] [--output PATH|-] [--timeout S] [--retries N]
@@ -40,9 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import signal
 import sys
-import threading
 import time
 
 from repro.analysis import (
@@ -60,11 +59,7 @@ from repro.analysis import (
     run_stall_breakdown,
     run_table4_cache,
 )
-from repro.analysis.runner import (
-    code_version,
-    read_checked_json,
-    write_checked_json,
-)
+from repro.analysis.runner import code_version
 from repro.obs import PhaseProfiler
 
 #: Default fidelity: 1e-4 = one trace instruction per 10k paper instructions.
@@ -80,65 +75,6 @@ def scale_tag(scale: float) -> str:
     mantissa, exponent = f"{scale:e}".split("e")
     mantissa = mantissa.rstrip("0").rstrip(".")
     return f"{mantissa}e{int(exponent)}"
-
-
-class SweepCheckpoint:
-    """Figure-level progress marker for killed sweeps.
-
-    The runcache itself is the point-level checkpoint — every completed
-    simulation persists the moment it finishes — so a rerun after a
-    crash never re-simulates completed points.  On top of that, this
-    file (``sweep-checkpoint.json`` in the cache directory, checksummed
-    and atomically written like every cache entry) records which
-    figures already completed, so a resumed invocation can say what it
-    is skipping.  The key ties the checkpoint to (scale, sampling, code
-    version); a mismatched or unreadable checkpoint is simply ignored.
-    It is removed when a sweep runs to completion.
-    """
-
-    def __init__(self, cache_dir: str | None, key: dict):
-        self.path = (
-            os.path.join(cache_dir, "sweep-checkpoint.json")
-            if cache_dir
-            else None
-        )
-        self.key = key
-        self.completed: list[str] = []
-        self.resumed_from: list[str] = []
-        if self.path and os.path.exists(self.path):
-            payload, status = read_checked_json(self.path)
-            if status == "ok" and payload.get("key") == key:
-                self.resumed_from = list(payload.get("completed", []))
-
-    def mark(self, name: str) -> None:
-        self.completed.append(name)
-        self.flush()
-
-    def flush(self) -> None:
-        """Persist current progress unconditionally.
-
-        ``mark`` flushes after every completed figure; the separate
-        entry point exists for the SIGTERM/SIGINT handler, so a polite
-        kill leaves exactly the checkpoint a SIGKILL-and-resume would
-        find.
-        """
-        if self.path is None:
-            return
-        try:
-            write_checked_json(
-                self.path,
-                {
-                    "key": self.key,
-                    "completed": self.completed,
-                    "updated_at": time.time(),
-                },
-            )
-        except OSError:
-            pass  # a lost checkpoint only costs the resume notice
-
-    def clear(self) -> None:
-        if self.path and os.path.exists(self.path):
-            os.unlink(self.path)
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -171,13 +107,13 @@ def parse_args(argv=None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-run wall-clock budget: a run exceeding it is killed, "
-        "charged a timeout failure and retried (default: no timeout)",
+        help="per-run wall-clock budget: a run exceeding it is killed "
+        "and fails without a retry (default: no timeout)",
     )
     parser.add_argument(
         "--retries", type=int, default=3,
-        help="retries per run for transient failures — worker crashes, "
-        "timeouts, I/O errors (default 3)",
+        help="retries per run after a worker death or a transient I/O "
+        "error (default 3)",
     )
     parser.add_argument(
         "--max-failures", type=int, default=None, metavar="N",
@@ -242,21 +178,6 @@ def main(argv=None) -> int:
         fail_fast=args.fail_fast,
     )
     runner = Runner(jobs=args.jobs, cache_dir=cache_dir, resilience=resilience)
-    checkpoint = SweepCheckpoint(
-        cache_dir,
-        key={
-            "scale": repr(scale),
-            "sampling": list(sampling) if sampling else None,
-            "code_version": code_version(),
-        },
-    )
-    if checkpoint.resumed_from:
-        # Stdout only, never the report: a straight-through sweep and a
-        # killed-and-resumed sweep must produce identical report files.
-        print(
-            f"resuming from checkpoint: {', '.join(checkpoint.resumed_from)} "
-            "completed previously; their points are served from the runcache"
-        )
 
     lines: list[str] = []
 
@@ -283,7 +204,6 @@ def main(argv=None) -> int:
             **runner.stats.delta_since(before),
         }
         emit(result.report, "\n")
-        checkpoint.mark(name)
         return result
 
     def write_bench(status: str) -> None:
@@ -304,7 +224,6 @@ def main(argv=None) -> int:
             "code_version": code_version(),
             "status": status,
             "wall_seconds": time.time() - start,
-            "resumed_figures": checkpoint.resumed_from,
             "resilience": {
                 "timeout": args.timeout,
                 "max_attempts": args.retries + 1,
@@ -346,79 +265,35 @@ def main(argv=None) -> int:
             f"{stats.pool_breaks} pool restarts, "
             f"{stats.corrupt_quarantined} corrupt cache entries quarantined, "
             f"{stats.cache_write_errors} cache write errors, "
-            f"{stats.degraded} serial degradations, "
             f"{stats.failed_points} failed points"
         )
 
-    def _interrupted(signum, frame):
-        raise SystemExit(128 + signum)
-
-    # A polite kill (TERM from a scheduler, Ctrl-C) must leave the same
-    # resumable state a SIGKILL does: the handler turns the signal into
-    # an orderly unwind, and the except branch below flushes the figure
-    # checkpoint before exiting.  Only the main thread may install
-    # signal handlers; elsewhere (tests driving main() from a worker
-    # thread) the default disposition stays.
-    previous_handlers: dict[int, object] = {}
-    if threading.current_thread() is threading.main_thread():
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                previous_handlers[signum] = signal.signal(
-                    signum, _interrupted
-                )
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-
     try:
-        try:
-            timed("table3", run_breakdown_table3)
-            fig4 = timed("fig4", run_fig4_ideal, sampling=sampling)
-            fig5 = timed("fig5", run_fig5_real, ideal=fig4, sampling=sampling)
-            timed("table4", run_table4_cache, fig5=fig5)
-            fig6 = timed("fig6", run_fig6_fetch, sampling=sampling)
-            timed("fig8", run_fig8_decoupled, sampling=sampling)
-            timed("fig9", run_fig9_summary, sampling=sampling)
-            # Observed companion runs (full detail, artifact-cached):
-            # where the fetch/dispatch slots went at the headline 8T
-            # point.
-            stall_breakdown = timed("stalls", run_stall_breakdown).measured
-            if args.serving:
-                # The media-server scenario (open-loop arrivals over the
-                # serving grid) rides the same cached runner: a warm
-                # rerun simulates nothing and reproduces the report byte
-                # for byte.
-                timed("serving", run_serving_scenario)
-        except SweepFailure as failure:
-            # Completed points are cached; the checkpoint stays so a
-            # rerun resumes instead of restarting.
-            print(f"\n{failure.summary()}", file=sys.stderr)
-            print(
-                "sweep stopped; every completed point is cached — fix the "
-                "cause (or relax --max-failures) and rerun to resume from "
-                "the checkpoint",
-                file=sys.stderr,
-            )
-            print_resilience_summary()
-            write_bench("failed")
-            return 3
-        except SystemExit as exc:
-            # The signal handler above (or an injected stand-in): flush
-            # the figure checkpoint so the interrupted sweep resumes
-            # exactly like a crashed one, then exit with the
-            # conventional 128+signum status.
-            checkpoint.flush()
-            print(
-                "\ninterrupted; figure checkpoint flushed — every "
-                "completed point is cached, rerun to resume",
-                file=sys.stderr,
-            )
-            print_resilience_summary()
-            write_bench("interrupted")
-            code = exc.code
-            return code if isinstance(code, int) else 1
-    finally:
-        for signum, handler in previous_handlers.items():
-            signal.signal(signum, handler)
+        timed("table3", run_breakdown_table3)
+        fig4 = timed("fig4", run_fig4_ideal, sampling=sampling)
+        fig5 = timed("fig5", run_fig5_real, ideal=fig4, sampling=sampling)
+        timed("table4", run_table4_cache, fig5=fig5)
+        fig6 = timed("fig6", run_fig6_fetch, sampling=sampling)
+        timed("fig8", run_fig8_decoupled, sampling=sampling)
+        timed("fig9", run_fig9_summary, sampling=sampling)
+        # Observed companion runs (full detail, artifact-cached): where
+        # the fetch/dispatch slots went at the headline 8T point.
+        stall_breakdown = timed("stalls", run_stall_breakdown).measured
+        if args.serving:
+            # The media-server scenario (open-loop arrivals over the
+            # serving grid) rides the same cached runner: a warm rerun
+            # simulates nothing and reproduces the report byte for byte.
+            timed("serving", run_serving_scenario)
+    except SweepFailure as failure:
+        print(f"\n{failure.summary()}", file=sys.stderr)
+        print(
+            "sweep stopped; every completed point is cached — fix the "
+            "cause (or relax --max-failures) and rerun to resume",
+            file=sys.stderr,
+        )
+        print_resilience_summary()
+        write_bench("failed")
+        return 3
 
     # Section 5.3's scalar/vector mixing statistic at 8 threads.
     for isa in ("mmx", "mom"):
@@ -449,7 +324,6 @@ def main(argv=None) -> int:
         print(f"report written to {report_path}")
 
     write_bench("ok")
-    checkpoint.clear()
     return 0
 
 

@@ -60,13 +60,6 @@ def eipc_cell(result: RunResult):
     return result.eipc
 
 
-def eipc_cis(runs: dict) -> dict:
-    """Per-run 95 % confidence half-widths (empty for full detail)."""
-    return {
-        key: run.eipc_ci95 for key, run in runs.items() if run.samples
-    }
-
-
 @dataclass
 class ExperimentResult:
     """Measured data for one table/figure, with the paper's targets."""
@@ -559,8 +552,8 @@ def run_stall_breakdown(
     but observed results deliberately bypass the run cache, so the
     companion runs are served through the runner's derived-artifact
     cache instead: one execution per code version, and cached
-    re-invocations format byte-identical tables (the chaos harness
-    compares reports across fault-injected reruns).
+    re-invocations format byte-identical tables (a warm rerun's report
+    must match the cold run's).
 
     Always runs full detail regardless of sweep sampling: SMARTS
     fast-forward emits no observer events, so a sampled breakdown would

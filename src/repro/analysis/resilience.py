@@ -1,70 +1,51 @@
-"""Fault-tolerant execution of simulation batches.
+"""Fault-tolerant execution of simulation batches on one host.
 
 The run engine (:mod:`repro.analysis.runner`) fans independent
-simulation points out over a ``ProcessPoolExecutor``.  At paper scale a
-sweep covers dozens of points and ~1.4B instructions; over hours of
-unattended execution workers get OOM-killed, machines stall, and disks
-hiccup.  This module turns those events from sweep-enders into recorded,
-retried incidents:
+simulation points out over a ``ProcessPoolExecutor``.  Every point is a
+pure function of its request, so rerunning one reproduces it bit for
+bit; what can still go wrong is the host: a worker gets OOM-killed, or a
+run stalls.  This module keeps such events from ending the sweep:
 
-* **Timeouts** — each in-flight run carries a wall-clock deadline.  A
-  run that exceeds it is killed (the only portable way to cancel a
-  running process-pool task is to kill the pool's processes), charged a
-  ``timeout`` failure, and retried; co-resident runs are resubmitted
-  without an attempt charge.
-* **Retries with seeded backoff** — transient failures (worker death,
-  pool breakage, OS-level I/O errors) are retried up to
-  ``max_attempts`` times with exponential backoff whose jitter is drawn
-  from ``Random(f"{seed}:{fingerprint}:{attempt}")`` — a pure function,
-  so chaos runs are bit-reproducible.  Deterministic model bugs
-  (:class:`~repro.verify.sanitizer.InvariantViolation`, value errors)
-  are *not* retried: rerunning a deterministic simulation cannot fix
-  it.
-* **Pool-break recovery and graceful degradation** — a dead worker
-  breaks the whole pool; the executor restarts it and resubmits the
-  in-flight cohort.  After ``pool_break_limit`` consecutive breaks with
-  no completed run in between, it stops trusting process pools and
-  degrades to serial in-process execution (no preemptive timeouts, but
-  guaranteed progress and exact failure attribution).
-* **Structured outcomes** — every request ends in a
-  :class:`RunOutcome` carrying its status, attempt count and the full
-  list of :class:`FailureRecord`\\ s (exception class, message, attempt,
-  elapsed seconds), which the experiment script surfaces in its
-  provenance output instead of a traceback.
+* **Worker death** — a dead worker breaks the whole pool.  Every
+  in-flight point is charged one ``pool`` failure and re-run at once on
+  a fresh pool, up to ``max_attempts`` executions.
+* **Timeouts** — each in-flight run carries a wall-clock deadline.  An
+  overdue run is killed with its pool (the only portable way to cancel
+  a running process-pool task) and fails for good with one ``timeout``
+  failure: deterministic work on the same host would time out again.
+  Co-resident runs restart without an attempt charge.
+* **Errors** — an exception out of the run is an ``error`` failure.
+  Transient OS-level errors retry; everything else, and explicitly any
+  :class:`~repro.verify.sanitizer.InvariantViolation`, is a property of
+  the run and fails permanently on first occurrence.
+* **Structured outcomes** — every request ends in a :class:`RunOutcome`
+  carrying its status, attempt count and the list of
+  :class:`FailureRecord`\\ s, which the experiment script surfaces in
+  its provenance output instead of a traceback.
 * **Salvage vs abort** — by default a sweep keeps going past
   permanently-failed points, finishes (and caches) everything
   completable, and only then raises :class:`SweepFailure`; with
   ``fail_fast`` (or once ``max_failures`` points have failed) it stops
   scheduling immediately and marks the remainder ``aborted``.
 
-Fault paths are exercised deterministically by
-:mod:`repro.verify.faultinject`; see ``docs/RESILIENCE.md`` for the
-full failure taxonomy.
+See ``docs/RESILIENCE.md`` for the failure taxonomy.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
-from repro.verify.faultinject import SimulatedWorkerCrash
 from repro.verify.sanitizer import InvariantViolation
 
 #: Exception types worth retrying: external conditions that a later
 #: attempt can plausibly avoid.  Everything else — and explicitly any
 #: :class:`InvariantViolation` — is a deterministic property of the run
 #: and fails permanently on first occurrence.
-_TRANSIENT_TYPES = (
-    SimulatedWorkerCrash,
-    BrokenProcessPool,
-    OSError,
-    EOFError,
-    ConnectionError,
-)
+_TRANSIENT_TYPES = (BrokenProcessPool, OSError, EOFError)
 
 
 def is_transient(exc: BaseException) -> bool:
@@ -80,20 +61,13 @@ class ResilienceConfig:
 
     ``timeout`` is the per-run wall-clock budget in seconds (``None``
     disables deadline enforcement); it only preempts runs executing in
-    worker processes — degraded serial execution cannot interrupt a
+    worker processes — in-process execution cannot interrupt a
     compute-bound run.  ``max_attempts`` counts executions, so
     ``max_attempts=4`` means one initial try plus three retries.
     """
 
     timeout: float | None = None
     max_attempts: int = 4
-    backoff_base: float = 0.25
-    backoff_factor: float = 2.0
-    backoff_max: float = 8.0
-    backoff_seed: int = 0
-    #: Consecutive pool breaks (no success in between) before degrading
-    #: to serial in-process execution.
-    pool_break_limit: int = 3
     #: Abort the batch once this many points have failed permanently
     #: (``None`` = salvage mode: never abort, finish everything
     #: completable and raise at the end).
@@ -101,29 +75,11 @@ class ResilienceConfig:
     fail_fast: bool = False
 
 
-def backoff_delay(
-    config: ResilienceConfig, fingerprint: str, attempt: int
-) -> float:
-    """Backoff before retry number ``attempt`` — deterministic.
-
-    Exponential in the attempt number, capped at ``backoff_max``, with
-    jitter drawn from a RNG seeded by (seed, fingerprint, attempt): the
-    delay depends only on those three values, never on scheduling
-    order, so a reproduced chaos run backs off identically.
-    """
-    base = min(
-        config.backoff_max,
-        config.backoff_base * config.backoff_factor ** max(0, attempt - 1),
-    )
-    rng = random.Random(f"{config.backoff_seed}:{fingerprint}:{attempt}")
-    return base * (0.5 + rng.random())
-
-
 @dataclass
 class FailureRecord:
     """One failed attempt of one run."""
 
-    kind: str        # "crash" | "pool" | "timeout" | "cache" | "error"
+    kind: str        # "pool" | "timeout" | "error"
     error: str       # exception class name (or the kind for kills)
     message: str
     attempt: int     # 0-based attempt that failed
@@ -138,8 +94,9 @@ class RunOutcome:
     """Bookkeeping attached to every request the executor handled.
 
     ``status`` is ``"ok"`` (result produced, possibly after retries),
-    ``"failed"`` (attempts exhausted or non-transient error) or
-    ``"aborted"`` (batch stopped before this point ran to a verdict).
+    ``"failed"`` (attempts exhausted, a timeout or a non-transient
+    error) or ``"aborted"`` (batch stopped before this point ran to a
+    verdict).
     """
 
     request: object
@@ -210,18 +167,30 @@ class SweepFailure(RuntimeError):
 class _Task:
     """Mutable per-request scheduling state."""
 
-    __slots__ = ("request", "fingerprint", "attempt", "failures", "not_before")
+    __slots__ = ("request", "attempt", "failures")
 
-    def __init__(self, request, fingerprint: str):
+    def __init__(self, request):
         self.request = request
-        self.fingerprint = fingerprint
         self.attempt = 0
         self.failures: list[FailureRecord] = []
-        self.not_before = 0.0
+
+
+def _kill(pool: ProcessPoolExecutor | None) -> None:
+    """Stop a pool now, running tasks included."""
+    if pool is None:
+        return
+    # Kill first: shutdown alone cannot stop a running task, and a hung
+    # worker would otherwise stall the sweep forever.
+    for proc in list((getattr(pool, "_processes", None) or {}).values()):
+        try:
+            proc.kill()
+        except (OSError, AttributeError):
+            pass
+    pool.shutdown(wait=False, cancel_futures=True)
 
 
 class ResilientExecutor:
-    """Drives a batch of tasks through pools, retries and timeouts.
+    """Drives a batch of tasks through a process pool or in process.
 
     Parameters
     ----------
@@ -230,24 +199,19 @@ class ResilientExecutor:
     jobs:
         Worker processes; ``1`` executes in process (serially).
     worker:
-        Picklable callable taking ``(request, trace_dir, attempt,
-        fingerprint)`` and returning a payload dict.  Runs in worker
-        processes (pooled) or in process (serial/degraded).
-    fingerprint_of:
-        Maps a request to its cache fingerprint (used for fault
-        injection and deterministic backoff jitter).
+        Picklable callable taking ``(request, trace_dir)`` and
+        returning a payload dict.  Runs in worker processes (pooled) or
+        in process (serial).
     """
 
-    def __init__(self, config: ResilienceConfig, jobs: int, worker, fingerprint_of):
+    def __init__(self, config: ResilienceConfig, jobs: int, worker):
         self.config = config
         self.jobs = max(1, int(jobs))
         self.worker = worker
-        self.fingerprint_of = fingerprint_of
         # Counters the runner folds into its provenance stats.
         self.retries = 0
         self.timeouts = 0
         self.pool_breaks = 0
-        self.degraded = 0
         self.failed = 0
         self.aborted = False
 
@@ -262,19 +226,14 @@ class ResilientExecutor:
         point that ever completed.
         """
         outcomes = {r: RunOutcome(request=r) for r in requests}
-        tasks = [_Task(r, self.fingerprint_of(r)) for r in requests]
+        tasks = [_Task(r) for r in requests]
         if self.jobs > 1 and len(tasks) > 1:
-            leftover = self._run_pooled(tasks, trace_dir, outcomes, on_success)
+            self._run_pooled(tasks, trace_dir, outcomes, on_success)
         else:
-            leftover = tasks
-        if leftover and not self.aborted:
-            self._run_serial(leftover, trace_dir, outcomes, on_success)
+            self._run_serial(tasks, trace_dir, outcomes, on_success)
         return [outcomes[r] for r in requests]
 
     # ----- shared bookkeeping ----------------------------------------------
-
-    def _task_args(self, task: _Task, trace_dir):
-        return (task.request, trace_dir, task.attempt, task.fingerprint)
 
     def _register_success(self, task, outcomes, payload, on_success) -> None:
         outcome = outcomes[task.request]
@@ -299,9 +258,6 @@ class ResilientExecutor:
         task.attempt += 1
         if retriable and task.attempt < self.config.max_attempts:
             self.retries += 1
-            task.not_before = time.monotonic() + backoff_delay(
-                self.config, task.fingerprint, task.attempt
-            )
             return True
         outcome = outcomes[task.request]
         outcome.status = "failed"
@@ -311,11 +267,10 @@ class ResilientExecutor:
         return False
 
     def _exception_failure(self, task, outcomes, exc, elapsed) -> bool:
-        kind = "crash" if isinstance(exc, SimulatedWorkerCrash) else "error"
         return self._note_failure(
             task,
             outcomes,
-            kind=kind,
+            kind="error",
             error=type(exc).__name__,
             message=str(exc),
             elapsed=elapsed,
@@ -343,120 +298,69 @@ class ResilientExecutor:
 
     # ----- pooled execution -------------------------------------------------
 
-    def _run_pooled(self, tasks, trace_dir, outcomes, on_success):
-        """Fan out over a process pool; returns tasks left for serial.
-
-        Returning a non-empty list means the executor degraded; an
-        aborted batch returns ``[]`` with ``self.aborted`` set.
-        """
+    def _run_pooled(self, tasks, trace_dir, outcomes, on_success) -> None:
+        """Fan out over a process pool, replaced whenever it is killed."""
         config = self.config
         pending: deque[_Task] = deque(tasks)
-        waiting: list[_Task] = []   # backing off until task.not_before
         running: dict = {}          # future -> (task, started_at)
         max_workers = min(self.jobs, len(tasks))
         pool = None
-        consecutive_breaks = 0
-
-        def kill_pool():
-            nonlocal pool
-            if pool is None:
-                return
-            # Kill first: shutdown alone cannot stop a running task, and
-            # a hung worker would otherwise stall the sweep forever.
-            processes = getattr(pool, "_processes", None) or {}
-            for proc in list(processes.values()):
-                try:
-                    proc.kill()
-                except (OSError, AttributeError):
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = None
 
         try:
-            while pending or waiting or running:
-                now = time.monotonic()
-                if waiting:
-                    still = []
-                    for task in waiting:
-                        (pending if task.not_before <= now else still).append(task)
-                    waiting = still
-
-                broke_on_submit = False
+            while pending or running:
+                # (task, elapsed) of every attempt a dead worker took down.
+                broken: list[tuple[_Task, float]] = []
                 while pending and len(running) < max_workers:
                     task = pending.popleft()
                     if pool is None:
                         pool = ProcessPoolExecutor(max_workers=max_workers)
                     try:
                         future = pool.submit(
-                            self.worker, self._task_args(task, trace_dir)
+                            self.worker, (task.request, trace_dir)
                         )
                     except BrokenProcessPool:
-                        pending.appendleft(task)
-                        broke_on_submit = True
+                        # Charged like an in-flight run, so max_attempts
+                        # bounds a pool that breaks before any run starts.
+                        broken.append((task, 0.0))
                         break
                     running[future] = (task, time.monotonic())
 
-                if not running:
-                    if broke_on_submit:
-                        kill_pool()
-                        self.pool_breaks += 1
-                        consecutive_breaks += 1
-                        if consecutive_breaks >= config.pool_break_limit:
-                            self.degraded += 1
-                            return list(pending) + waiting
-                        continue
-                    if waiting:
-                        delay = min(t.not_before for t in waiting) - time.monotonic()
-                        if delay > 0:
-                            time.sleep(delay)
-                    continue
-
-                wait_for = 0.5
-                if config.timeout is not None:
-                    nearest = min(started for (_, started) in running.values())
-                    wait_for = min(
-                        wait_for,
-                        max(0.0, nearest + config.timeout - time.monotonic()),
+                if running and not broken:
+                    wait_for = None
+                    if config.timeout is not None:
+                        nearest = min(started for (_, started) in running.values())
+                        wait_for = max(
+                            0.0, nearest + config.timeout - time.monotonic()
+                        )
+                    done, _ = wait(
+                        list(running), timeout=wait_for, return_when=FIRST_COMPLETED
                     )
-                if waiting:
-                    wait_for = min(
-                        wait_for,
-                        max(0.0, min(t.not_before for t in waiting) - time.monotonic()),
-                    )
-                done, _ = wait(
-                    list(running), timeout=wait_for, return_when=FIRST_COMPLETED
-                )
+                    for future in done:
+                        task, started = running.pop(future)
+                        elapsed = time.monotonic() - started
+                        try:
+                            payload = future.result()
+                        except BrokenProcessPool:
+                            broken.append((task, elapsed))
+                        except Exception as exc:
+                            if self._exception_failure(task, outcomes, exc, elapsed):
+                                pending.appendleft(task)
+                        else:
+                            self._register_success(task, outcomes, payload, on_success)
 
-                broken: list[tuple[_Task, float]] = []
-                for future in done:
-                    entry = running.pop(future, None)
-                    if entry is None:
-                        continue
-                    task, started = entry
-                    elapsed = time.monotonic() - started
-                    try:
-                        payload = future.result()
-                    except BrokenProcessPool:
-                        broken.append((task, elapsed))
-                    except Exception as exc:
-                        if self._exception_failure(task, outcomes, exc, elapsed):
-                            waiting.append(task)
-                    else:
-                        self._register_success(task, outcomes, payload, on_success)
-                        consecutive_breaks = 0
-
-                if broken or broke_on_submit:
+                if broken:
                     # A dead worker poisons every in-flight future; the
-                    # whole cohort restarts on a fresh pool.
+                    # whole cohort is charged and restarts on a fresh pool.
                     now = time.monotonic()
-                    for task, started in running.values():
-                        broken.append((task, now - started))
+                    broken += [(task, now - started) for (task, started) in running.values()]
                     running.clear()
-                    kill_pool()
+                    _kill(pool)
+                    pool = None
                     self.pool_breaks += 1
-                    consecutive_breaks += 1
-                    for task, elapsed in broken:
-                        retry = self._note_failure(
+                    retry = [
+                        task
+                        for task, elapsed in broken
+                        if self._note_failure(
                             task,
                             outcomes,
                             kind="pool",
@@ -465,11 +369,8 @@ class ResilientExecutor:
                             elapsed=elapsed,
                             retriable=True,
                         )
-                        if retry:
-                            waiting.append(task)
-                    if consecutive_breaks >= config.pool_break_limit:
-                        self.degraded += 1
-                        return list(pending) + waiting
+                    ]
+                    pending.extendleft(reversed(retry))
                 elif config.timeout is not None and running:
                     now = time.monotonic()
                     overdue = [
@@ -478,16 +379,20 @@ class ResilientExecutor:
                         if now - started > config.timeout
                     ]
                     if overdue:
+                        # Collateral runs lost to the pool kill restart
+                        # without an attempt charge: we killed them, they
+                        # did not fail.
                         survivors = [
                             task
                             for (task, started) in running.values()
                             if now - started <= config.timeout
                         ]
                         running.clear()
-                        kill_pool()
+                        _kill(pool)
+                        pool = None
                         self.timeouts += len(overdue)
                         for task, elapsed in overdue:
-                            retry = self._note_failure(
+                            self._note_failure(
                                 task,
                                 outcomes,
                                 kind="timeout",
@@ -497,48 +402,34 @@ class ResilientExecutor:
                                     f"wall-clock budget; worker killed"
                                 ),
                                 elapsed=elapsed,
-                                retriable=True,
+                                retriable=False,
                             )
-                            if retry:
-                                waiting.append(task)
-                        # Collateral runs lost to the pool kill restart
-                        # without an attempt charge: we killed them, they
-                        # did not fail.
-                        for task in survivors:
-                            pending.appendleft(task)
+                        pending.extendleft(reversed(survivors))
 
                 if self._should_abort():
-                    remaining = (
-                        list(pending)
-                        + waiting
-                        + [task for (task, _) in running.values()]
-                    )
-                    kill_pool()
+                    remaining = list(pending) + [task for (task, _) in running.values()]
+                    _kill(pool)
+                    pool = None
                     self._mark_aborted(remaining, outcomes)
-                    return []
-            return []
+                    return
         finally:
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
 
-    # ----- serial (and degraded) execution ---------------------------------
+    # ----- serial execution -------------------------------------------------
 
     def _run_serial(self, tasks, trace_dir, outcomes, on_success) -> None:
         """In-process execution with the same retry/abort policy.
 
         No preemptive timeouts here: a hung in-process run cannot be
-        interrupted.  Injected hangs are finite, so progress is still
-        guaranteed under fault injection.
+        interrupted.
         """
         queue: deque[_Task] = deque(tasks)
         while queue:
             task = queue.popleft()
-            delay = task.not_before - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
             started = time.monotonic()
             try:
-                payload = self.worker(self._task_args(task, trace_dir))
+                payload = self.worker((task.request, trace_dir))
             except Exception as exc:
                 elapsed = time.monotonic() - started
                 if self._exception_failure(task, outcomes, exc, elapsed):

@@ -31,10 +31,10 @@ cache — pass through the same JSON round-trip
 (Python's JSON float serialization round-trips exactly), making
 bit-identical reports a structural property rather than an aspiration.
 
-Execution is fault tolerant (:mod:`repro.analysis.resilience`): runs
-carry wall-clock timeouts, transient failures retry with seeded
-backoff, a broken process pool restarts (degrading to serial execution
-if it keeps breaking), and every request ends in a structured
+Execution is fault tolerant (:mod:`repro.analysis.resilience`): a dead
+worker's pool restarts and its in-flight points re-run, up to a bounded
+number of attempts; a run past its wall-clock timeout is killed and
+fails; and every request ends in a structured
 :class:`~repro.analysis.resilience.RunOutcome` rather than an aborted
 sweep.  The on-disk cache is crash safe: entries are written atomically
 (temp file + rename), carry a content checksum, and a corrupt entry is
@@ -61,7 +61,6 @@ from repro.analysis.resilience import (
     RunOutcome,
     SweepFailure,
 )
-from repro.verify import faultinject
 from repro.core.fetch import FetchPolicy
 from repro.core.metrics import RunResult
 from repro.core.params import SMTConfig
@@ -147,8 +146,8 @@ def verify_cache(cache_dir: str) -> dict:
 
     Returns ``{"ok": count, "corrupt": [paths], "legacy": [paths],
     "quarantined": [paths]}`` — ``quarantined`` lists ``.corrupt``
-    files left by earlier quarantines.  Used by tests and the
-    chaos-smoke harness to assert a cache holds no torn entries.
+    files left by earlier quarantines.  Used by tests and
+    ``verify_tool.py cache`` to assert a cache holds no torn entries.
     """
     ok, corrupt, legacy, quarantined = 0, [], [], []
     for name in sorted(os.listdir(cache_dir)):
@@ -264,7 +263,6 @@ class ResultStore:
         request_payload: dict,
         result_payload: dict,
         elapsed: float,
-        attempt: int = 0,
     ) -> bool:
         """Persist one finished point; ``False`` if the write failed.
 
@@ -291,7 +289,6 @@ class ResultStore:
                 stacklevel=3,
             )
             return False
-        faultinject.corrupt_cache_entry(path, fingerprint, attempt)
         return True
 
     def scan(self) -> dict:
@@ -562,26 +559,19 @@ def execute_request(
 def _pool_execute(args: tuple) -> dict:
     """Worker-process entry point: simulate and return timed plain data.
 
-    ``args`` is ``(request, trace_dir, attempt, fingerprint)``;
-    ``request.execute`` simulates the point, of either request kind,
-    and returns its JSON-safe payload.  The attempt number and
-    fingerprint feed the deterministic fault injection hook (a no-op
-    unless a plan is installed).  The per-run wall time is persisted
-    with the cached result so a later fully-cached sweep can still
-    report the throughput of the simulations that produced its numbers.
+    ``args`` is ``(request, trace_dir)``; ``request.execute`` simulates
+    the point, of either request kind, and returns its JSON-safe
+    payload.  The per-run wall time is persisted with the cached result
+    so a later fully-cached sweep can still report the throughput of
+    the simulations that produced its numbers.
 
     :meth:`Runner.run_batch` dispatches through this module attribute
     at call time, so a test double installed over it applies.
     """
-    request, trace_dir, attempt, fingerprint = args
-    faultinject.fire_execution_fault(fingerprint, attempt)
+    request, trace_dir = args
     started = time.perf_counter()
     result = request.execute(trace_dir)
-    return {
-        "elapsed": time.perf_counter() - started,
-        "result": result,
-        "attempt": attempt,
-    }
+    return {"elapsed": time.perf_counter() - started, "result": result}
 
 
 # ------------------------------------------------------------------ runner
@@ -609,7 +599,6 @@ class RunnerStats:
     retries: int = 0               # attempts re-scheduled after a failure
     timeouts: int = 0              # runs killed for exceeding the deadline
     pool_breaks: int = 0           # process-pool restarts after worker death
-    degraded: int = 0              # batches that fell back to serial execution
     failed_points: int = 0         # requests that failed permanently
     corrupt_quarantined: int = 0   # cache entries quarantined as corrupt
     cache_write_errors: int = 0    # results that could not be persisted
@@ -709,7 +698,6 @@ class Runner:
         request: Request,
         result_payload: dict,
         elapsed: float,
-        attempt: int = 0,
     ) -> None:
         if self.store is None:
             return
@@ -718,7 +706,6 @@ class Runner:
             asdict(request),
             result_payload,
             elapsed,
-            attempt,
         )
         if not stored:
             # The result is already memoized; losing persistence costs a
@@ -739,8 +726,9 @@ class Runner:
 
         Execution goes through the resilience layer: results are
         memoized and persisted the moment each run completes (a killed
-        sweep resumes from every finished point), transient failures
-        retry per ``self.resilience``, and if any request still fails
+        sweep resumes from every finished point), runs lost to a dead
+        worker or a transient error retry per ``self.resilience``, and
+        if any request still fails
         permanently a :class:`~repro.analysis.resilience.SweepFailure`
         is raised *after* every completable run has been salvaged and
         cached.
@@ -772,7 +760,6 @@ class Runner:
         if todo:
             started = time.perf_counter()
             trace_dir = self.trace_dir
-            version = self.version
 
             def on_success(request: Request, payload: dict) -> None:
                 # Every result passes through the same round-trip the
@@ -788,23 +775,14 @@ class Runner:
                 self.stats.sim_instructions += instructions
                 self.stats.sim_cycles += cycles
                 self._memo[request] = result
-                self._cache_store(
-                    request, result_payload, payload["elapsed"],
-                    payload.get("attempt", 0),
-                )
+                self._cache_store(request, result_payload, payload["elapsed"])
 
-            executor = ResilientExecutor(
-                self.resilience,
-                self.jobs,
-                _pool_execute,
-                fingerprint_of=lambda request: request.fingerprint(version),
-            )
+            executor = ResilientExecutor(self.resilience, self.jobs, _pool_execute)
             outcomes = executor.execute(todo, trace_dir, on_success)
             self.stats.sim_seconds += time.perf_counter() - started
             self.stats.retries += executor.retries
             self.stats.timeouts += executor.timeouts
             self.stats.pool_breaks += executor.pool_breaks
-            self.stats.degraded += executor.degraded
             self.stats.failed_points += executor.failed
             for outcome in outcomes:
                 self.outcomes[outcome.request] = outcome

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 
-from repro.isa.opcodes import Opcode, OPCODE_INFO
-
 
 class VectorUnit:
     """The MOM media functional unit: ``lanes`` parallel vector pipes."""
@@ -55,12 +53,3 @@ class VectorUnit:
         self._busy_until = start + occupancy
         self.busy_cycles += occupancy
         return start + self.STARTUP + occupancy + latency - 1
-
-    @property
-    def busy_until(self) -> int:
-        return self._busy_until
-
-
-def scalar_latency(op: Opcode) -> int:
-    """Execution latency of a non-memory opcode class."""
-    return OPCODE_INFO[op].latency

@@ -102,12 +102,6 @@ class RunResult:
             return 0.0
         return self.vector_only_cycles / self.active_cycles
 
-    def speedup_over(self, baseline: "RunResult") -> float:
-        """Throughput speed-up versus a baseline run (EIPC ratio)."""
-        if baseline.eipc == 0:
-            raise ValueError("baseline did no work")
-        return self.eipc / baseline.eipc
-
     def summary(self) -> str:
         mem = self.memory
         return (

@@ -263,10 +263,6 @@ class ThreadContext:
         self.trace_expanded = trace.expanded_length
         self.equiv_per_inst = trace.mmx_equivalent / self.trace_expanded
 
-    @property
-    def fetch_done(self) -> bool:
-        return self.trace is None or self.fetch_idx >= self.trace_len
-
 
 class SMTProcessor:
     """Runs a multiprogrammed workload on the configured SMT machine."""

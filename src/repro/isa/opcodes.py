@@ -143,11 +143,6 @@ def latency_of(op: Opcode) -> int:
     return OPCODE_INFO[op].latency
 
 
-def fu_class_of(op: Opcode) -> FuClass:
-    """Functional-unit class that executes an opcode class."""
-    return OPCODE_INFO[op].fu
-
-
 def queue_of(op: Opcode) -> Queue:
     """Issue queue an opcode class dispatches to."""
     return OPCODE_INFO[op].queue

@@ -8,8 +8,8 @@ regressions can be localized to a phase without re-running anything.
 The profiler measures host wall time only (``time.perf_counter``), so
 it never participates in simulated state and is safe to use around
 cached sweeps: the simulation outputs stay bit-identical whether or not
-a profiler is active (the chaos-smoke harness strips volatile BENCH
-keys, and ``profile`` is volatile by construction).
+a profiler is active (``profile`` is volatile by construction and never
+enters a report).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 # codelint: disable-file=DET-CLOCK — the profiler is the one sanctioned
 # wall-clock consumer in repro.obs: its output is volatile by
 # construction and never enters reports, goldens or cache keys
-# (docs/TESTING.md; the chaos harness strips it before comparing).
+# (docs/TESTING.md, determinism rule 2).
 import time
 from contextlib import contextmanager
 

@@ -88,22 +88,6 @@ class ProgramMix:
             return 0.0
         return total * self.frac_simd / self.simd_ops_per_word
 
-    def mom_ratio(self) -> float:
-        """Predicted MOM/MMX dynamic instruction-count ratio.
-
-        Closed form of the structural transformation: per kernel element,
-        MOM saves the loop-control integers (minus its own 3-per-chunk),
-        the SIMD overhead ops and the redundant loads.
-        """
-        if self.simd_ops_per_word == 0:
-            return 1.0
-        saved_per_word = (
-            (self.int_per_word - MOM_INT_PER_CHUNK / STREAM_LENGTH)
-            + self.overhead_ops_per_word
-            + self.redundant_loads_per_word
-        )
-        return 1.0 - self.frac_simd * saved_per_word / self.simd_ops_per_word
-
 
 def predicted_counts(mix: ProgramMix, isa: str) -> dict[str, float]:
     """Class counts (in millions) the trace generator targets for ``mix``.

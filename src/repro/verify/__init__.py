@@ -13,10 +13,7 @@ Static checkers (pure functions returning
 Runtime layer:
 
 * :mod:`repro.verify.sanitizer` — opt-in invariant checks wired into the
-  core and memory models via ``SMTConfig(sanitize=True)``;
-* :mod:`repro.verify.faultinject` — deterministic seeded fault injection
-  (worker hangs, crashes, cache corruption) for exercising the
-  resilience layer of :mod:`repro.analysis.runner` in tests and CI.
+  core and memory models via ``SMTConfig(sanitize=True)``.
 
 ``scripts/verify_tool.py`` runs the static checks over the ISA tables,
 the assembly example and generators, the trace generator and the

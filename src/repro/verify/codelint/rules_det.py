@@ -1,7 +1,7 @@
 """DET-* — determinism: no entropy, no wall clock, no set-order leaks.
 
 Simulated outcomes must be pure functions of the request (the runcache,
-bit-identity suite, goldens and chaos harness all assume it — policy in
+bit-identity suite, goldens and worker-death re-runs all assume it — policy in
 ``docs/TESTING.md``).  These rules promote the old regex scan of
 ``tests/test_determinism_audit.py`` into a real AST analysis: imports
 are resolved through aliases (``from time import perf_counter as pc``),

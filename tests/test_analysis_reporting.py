@@ -106,8 +106,7 @@ class TestDrivers:
         # collects a sweep's results from sweep_requests after its
         # drivers ran.
         canned = runner_module._pool_execute(
-            (RunRequest("mmx", 1, memory="perfect", scale=FAST_SCALE),
-             None, 0, "canned")
+            (RunRequest("mmx", 1, memory="perfect", scale=FAST_SCALE), None)
         )
         executed = []
 

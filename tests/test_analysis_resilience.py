@@ -1,23 +1,30 @@
-"""The fault-tolerance layer: retries, timeouts, pool breaks, crash-safe cache."""
+"""The fault-tolerance layer: pool restarts, timeouts, retries, crash-safe cache.
 
+Faults come from test-double workers.  A fault that must fire once keys
+on a marker file under ``tmp_path``: the first process to create the
+file takes the fault, every later run finds it and proceeds.
+"""
+
+import functools
 import glob
-import multiprocessing
+import json
 import os
 import pickle
+import subprocess
+import sys
+import textwrap
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import repro.analysis.resilience as resilience_module
 import repro.analysis.runner as runner_module
 from repro.analysis.resilience import (
     ResilienceConfig,
     ResilientExecutor,
     SweepFailure,
-    backoff_delay,
     is_transient,
 )
 from repro.analysis.runner import (
@@ -25,20 +32,20 @@ from repro.analysis.runner import (
     Runner,
     RunRequest,
     read_checked_json,
+    result_to_dict,
     verify_cache,
     write_checked_json,
 )
-from repro.verify import faultinject
-from repro.verify.faultinject import FaultPlan, SimulatedWorkerCrash
 from repro.verify.sanitizer import InvariantViolation
 
 SCALE = 1.2e-5
 
-FAST = ResilienceConfig(backoff_base=0.01, backoff_max=0.05)
-
 _SRC_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
 )
+
+#: The real worker entry point, bound before any test patches the module.
+_SIMULATE = runner_module._pool_execute
 
 
 def tiny(**overrides) -> RunRequest:
@@ -47,37 +54,36 @@ def tiny(**overrides) -> RunRequest:
     return RunRequest(**base)
 
 
-def fast(**overrides) -> ResilienceConfig:
-    base = dict(backoff_base=0.01, backoff_max=0.05)
-    base.update(overrides)
-    return ResilienceConfig(**base)
+def canonical(result) -> str:
+    return json.dumps(result_to_dict(result), sort_keys=True)
 
 
-@pytest.fixture(autouse=True)
-def clean_plan():
-    faultinject.install(None)
-    yield
-    faultinject.install(None)
+# ----- worker doubles (module level: the pool pickles them by reference) -----
 
 
-# ----- stub workers (module level: the pool pickles them by reference) -------
+def _claim(marker: str) -> bool:
+    """True for the one caller, in any process, that creates ``marker``."""
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return False
+    return True
 
 
-def _payload(request, attempt):
-    return {"elapsed": 0.0, "result": {"value": str(request)}, "attempt": attempt}
+def _payload(request):
+    return {"elapsed": 0.0, "result": {"value": str(request)}}
 
 
-def _ok_worker(args):
-    request, _trace_dir, attempt, _fingerprint = args
-    return _payload(request, attempt)
-
-
-def _flaky_worker(args):
-    """OSError on the first attempt, success afterwards."""
-    request, _trace_dir, attempt, _fingerprint = args
-    if attempt == 0:
+def _flaky_worker(marker_dir, args):
+    """OSError on each request's first run, success afterwards."""
+    request, _trace_dir = args
+    if _claim(os.path.join(marker_dir, request)):
         raise OSError("transient I/O hiccup")
-    return _payload(request, attempt)
+    return _payload(request)
+
+
+def _os_error_worker(args):
+    raise OSError("disk keeps failing")
 
 
 def _value_error_worker(args):
@@ -90,40 +96,63 @@ def _invariant_worker(args):
     )
 
 
-def _simulated_crash_worker(args):
-    """Dies for real in a worker process, raises in-process otherwise."""
-    request, _trace_dir, attempt, _fingerprint = args
-    if multiprocessing.parent_process() is not None:
-        os._exit(faultinject.CRASH_EXIT_CODE)
-    raise SimulatedWorkerCrash(f"injected crash of {request}")
+def _crash_once_worker(marker, args):
+    """The first run to claim ``marker`` kills its worker process."""
+    request, _trace_dir = args
+    if _claim(marker):
+        os._exit(71)
+    return _payload(request)
 
 
-def _crash_once_worker(args):
-    request, _trace_dir, attempt, _fingerprint = args
-    if attempt == 0:
-        if multiprocessing.parent_process() is not None:
-            os._exit(faultinject.CRASH_EXIT_CODE)
-        raise SimulatedWorkerCrash(f"injected crash of {request}")
-    return _payload(request, attempt)
+def _hang_forever(args):
+    time.sleep(60.0)
 
 
-def _hang_once_worker(args):
-    request, _trace_dir, attempt, _fingerprint = args
-    if attempt == 0:
-        time.sleep(60.0)
-    return _payload(request, attempt)
+def _timing_worker(marker_dir, args):
+    """``hang`` never returns; ``stall-once`` stalls on its first run only."""
+    request, _trace_dir = args
+    if request == "hang" or (
+        request == "stall-once" and _claim(os.path.join(marker_dir, request))
+    ):
+        _hang_forever(args)
+    elif request == "short":
+        time.sleep(0.3)
+    return _payload(request)
 
 
 def _bad_prefix_worker(args):
-    request, _trace_dir, attempt, _fingerprint = args
+    request, _trace_dir = args
     if str(request).startswith("bad"):
         raise ValueError(f"{request} is permanently broken")
-    return _payload(request, attempt)
+    return _payload(request)
 
 
-def run_executor(worker, requests, config, jobs=1):
+def _die_once_then_simulate(marker, victim, args):
+    """Simulate for real, but kill the worker on ``victim``'s first run."""
+    if args[0] == victim and _claim(marker):
+        os._exit(71)
+    return _SIMULATE(args)
+
+
+class _BrokenPool:
+    """A process pool that is already broken whenever a run is submitted."""
+
+    def __init__(self, max_workers):
+        self.submits = 0
+
+    def submit(self, fn, args):
+        self.submits += 1
+        if self.submits > 100:
+            raise RuntimeError("submit loop not bounded by max_attempts")
+        raise BrokenProcessPool("a worker process died before the run started")
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def run_executor(worker, requests, config=ResilienceConfig(), jobs=1):
     collected = {}
-    executor = ResilientExecutor(config, jobs, worker, fingerprint_of=str)
+    executor = ResilientExecutor(config, jobs, worker)
     outcomes = executor.execute(
         list(requests), None, lambda request, payload: collected.update({request: payload})
     )
@@ -133,116 +162,9 @@ def run_executor(worker, requests, config, jobs=1):
 # ----- policy primitives ------------------------------------------------------
 
 
-class TestBackoff:
-    def test_deterministic_and_order_free(self):
-        config = ResilienceConfig(backoff_seed=5)
-        delays = [backoff_delay(config, f"fp{i}", a) for i in range(5) for a in (1, 2)]
-        again = [backoff_delay(config, f"fp{i}", a) for i in range(5) for a in (1, 2)]
-        assert delays == again
-
-    def test_jitter_within_half_to_three_halves_of_base(self):
-        config = ResilienceConfig(backoff_base=0.2, backoff_factor=2.0)
-        for attempt, base in ((1, 0.2), (2, 0.4), (3, 0.8)):
-            delay = backoff_delay(config, "fp", attempt)
-            assert 0.5 * base <= delay < 1.5 * base
-
-    def test_capped_at_backoff_max(self):
-        config = ResilienceConfig(backoff_max=1.0)
-        assert backoff_delay(config, "fp", 40) < 1.5
-
-    def test_seed_and_fingerprint_vary_the_jitter(self):
-        a = ResilienceConfig(backoff_seed=1)
-        b = ResilienceConfig(backoff_seed=2)
-        assert backoff_delay(a, "fp", 1) != backoff_delay(b, "fp", 1)
-        assert backoff_delay(a, "fp1", 1) != backoff_delay(a, "fp2", 1)
-
-
-class TestBackoffProperties:
-    """Property coverage: the delay law the whole repo relies on.
-
-    The resilient executor resubmits with :func:`backoff_delay`, for
-    whole runs and window shards alike; deterministic replay of a chaos
-    run needs the delay to be a pure function of (seed, fingerprint,
-    attempt) with a monotone, capped envelope.
-    """
-
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        fingerprint=st.text(min_size=1, max_size=64),
-        attempt=st.integers(1, 64),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_deterministic_and_monotone_bounded(
-        self, seed, fingerprint, attempt
-    ):
-        config = ResilienceConfig(backoff_seed=seed)
-        delay = backoff_delay(config, fingerprint, attempt)
-        assert delay == backoff_delay(config, fingerprint, attempt)
-        envelope = min(
-            config.backoff_max,
-            config.backoff_base * config.backoff_factor ** (attempt - 1),
-        )
-        assert 0.5 * envelope <= delay < 1.5 * envelope
-        assert delay < 1.5 * config.backoff_max
-        if attempt > 1:
-            previous = min(
-                config.backoff_max,
-                config.backoff_base
-                * config.backoff_factor ** (attempt - 2),
-            )
-            assert previous <= envelope  # the envelope never shrinks
-
-    @given(
-        triples=st.lists(
-            st.tuples(
-                st.integers(0, 2**16),
-                st.text(
-                    alphabet="0123456789abcdef", min_size=1, max_size=16
-                ),
-                st.integers(1, 16),
-            ),
-            min_size=1,
-            max_size=8,
-        )
-    )
-    @settings(max_examples=5, deadline=None)
-    def test_stable_across_processes(self, triples):
-        # A resumed sweep in a fresh interpreter must compute the
-        # *same* delays: bit-exact, not just statistically similar.
-        import json
-        import subprocess
-        import sys
-
-        local = [
-            backoff_delay(
-                ResilienceConfig(backoff_seed=seed), fingerprint, attempt
-            ).hex()
-            for seed, fingerprint, attempt in triples
-        ]
-        program = (
-            "import json, sys\n"
-            "from repro.analysis.resilience import ("
-            "ResilienceConfig, backoff_delay)\n"
-            "triples = json.loads(sys.stdin.read())\n"
-            "print(json.dumps([backoff_delay("
-            "ResilienceConfig(backoff_seed=s), fp, a).hex() "
-            "for s, fp, a in triples]))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", program],
-            input=json.dumps(triples),
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": _SRC_PATH},
-            check=True,
-        )
-        assert json.loads(proc.stdout) == local
-
-
 class TestTransience:
     def test_transient_kinds(self):
         assert is_transient(OSError("disk"))
-        assert is_transient(SimulatedWorkerCrash("boom"))
         assert is_transient(BrokenProcessPool("pool"))
 
     def test_deterministic_kinds_are_not_retried(self):
@@ -260,9 +182,9 @@ class TestTransience:
 
 
 class TestSerialExecutor:
-    def test_transient_failures_retry_to_success(self):
+    def test_transient_failures_retry_to_success(self, tmp_path):
         executor, outcomes, collected = run_executor(
-            _flaky_worker, ["a", "b"], fast()
+            functools.partial(_flaky_worker, str(tmp_path)), ["a", "b"]
         )
         assert {o.status for o in outcomes.values()} == {"ok"}
         assert all(o.attempts == 2 for o in outcomes.values())
@@ -273,9 +195,7 @@ class TestSerialExecutor:
         assert (record.kind, record.error, record.attempt) == ("error", "OSError", 0)
 
     def test_non_transient_failure_is_permanent_on_first_attempt(self):
-        executor, outcomes, collected = run_executor(
-            _value_error_worker, ["a"], fast()
-        )
+        executor, outcomes, collected = run_executor(_value_error_worker, ["a"])
         assert outcomes["a"].status == "failed"
         assert outcomes["a"].attempts == 1
         assert executor.retries == 0
@@ -284,16 +204,16 @@ class TestSerialExecutor:
 
     def test_attempts_exhausted_becomes_permanent(self):
         executor, outcomes, _ = run_executor(
-            _simulated_crash_worker, ["a"], fast(max_attempts=3)
+            _os_error_worker, ["a"], ResilienceConfig(max_attempts=3)
         )
         assert outcomes["a"].status == "failed"
         assert outcomes["a"].attempts == 3
         assert executor.retries == 2
-        assert [f.kind for f in outcomes["a"].failures] == ["crash"] * 3
+        assert [f.kind for f in outcomes["a"].failures] == ["error"] * 3
 
     def test_salvage_mode_finishes_everything_completable(self):
         executor, outcomes, collected = run_executor(
-            _bad_prefix_worker, ["bad-0", "good-0", "good-1"], fast()
+            _bad_prefix_worker, ["bad-0", "good-0", "good-1"]
         )
         assert outcomes["bad-0"].status == "failed"
         assert outcomes["good-0"].status == "ok"
@@ -303,7 +223,9 @@ class TestSerialExecutor:
 
     def test_fail_fast_aborts_the_remainder(self):
         executor, outcomes, collected = run_executor(
-            _bad_prefix_worker, ["bad-0", "good-0", "good-1"], fast(fail_fast=True)
+            _bad_prefix_worker,
+            ["bad-0", "good-0", "good-1"],
+            ResilienceConfig(fail_fast=True),
         )
         assert outcomes["bad-0"].status == "failed"
         assert outcomes["good-0"].status == "aborted"
@@ -315,7 +237,7 @@ class TestSerialExecutor:
         executor, outcomes, _ = run_executor(
             _bad_prefix_worker,
             ["bad-0", "bad-1", "good-0", "bad-2"],
-            fast(max_failures=2),
+            ResilienceConfig(max_failures=2),
         )
         statuses = [outcomes[r].status for r in ("bad-0", "bad-1", "good-0", "bad-2")]
         assert statuses == ["failed", "failed", "aborted", "aborted"]
@@ -327,50 +249,56 @@ class TestSerialExecutor:
 
 
 class TestPooledExecutor:
-    def test_worker_crash_breaks_pool_then_recovers(self):
+    def test_worker_crash_breaks_pool_then_recovers(self, tmp_path):
         executor, outcomes, collected = run_executor(
-            _crash_once_worker, ["a", "b"], fast(pool_break_limit=10), jobs=2
+            functools.partial(_crash_once_worker, str(tmp_path / "crashed")),
+            ["a", "b"],
+            jobs=2,
         )
         assert {o.status for o in outcomes.values()} == {"ok"}
         assert set(collected) == {"a", "b"}
-        assert executor.pool_breaks >= 1
-        assert executor.degraded == 0
-        # Every task that rode a broken pool was charged a "pool" failure.
+        assert executor.pool_breaks == 1
+        assert executor.failed == 0
+        # Every task that rode the broken pool was charged a "pool" failure.
         kinds = {f.kind for o in outcomes.values() for f in o.failures}
         assert kinds == {"pool"}
 
-    def test_hung_run_is_killed_charged_and_retried(self):
+    def test_break_on_submit_is_charged_so_attempts_bound_it(self, monkeypatch):
+        monkeypatch.setattr(resilience_module, "ProcessPoolExecutor", _BrokenPool)
         executor, outcomes, collected = run_executor(
-            _hang_once_worker, ["a", "b"], fast(timeout=1.5), jobs=2
+            _payload, ["a", "b"], ResilienceConfig(max_attempts=2), jobs=2
         )
-        assert {o.status for o in outcomes.values()} == {"ok"}
-        assert set(collected) == {"a", "b"}
-        assert executor.timeouts >= 1
-        timed_out = [
-            f for o in outcomes.values() for f in o.failures if f.kind == "timeout"
-        ]
-        assert timed_out
-        assert all(f.elapsed >= 1.5 for f in timed_out)
+        assert collected == {}
+        for outcome in outcomes.values():
+            assert (outcome.status, outcome.attempts) == ("failed", 2)
+            assert [f.kind for f in outcome.failures] == ["pool", "pool"]
+        assert executor.pool_breaks == 4
 
-    def test_persistent_breakage_degrades_to_serial(self):
-        executor, outcomes, _ = run_executor(
-            _simulated_crash_worker,
-            ["a", "b"],
-            fast(pool_break_limit=2, max_attempts=4),
+    def test_hung_run_is_killed_and_fails_for_good(self, tmp_path):
+        # "short" finishes first, so "stall-once" starts 0.3 s after
+        # "hang": it is still within its budget when "hang" is killed.
+        executor, outcomes, collected = run_executor(
+            functools.partial(_timing_worker, str(tmp_path)),
+            ["short", "hang", "stall-once"],
+            ResilienceConfig(timeout=1.0),
             jobs=2,
         )
-        assert executor.degraded == 1
-        assert executor.pool_breaks == 2
-        assert {o.status for o in outcomes.values()} == {"failed"}
-        # History shows both phases: pooled breaks, then in-process crashes.
-        kinds = [f.kind for f in outcomes["a"].failures]
-        assert "pool" in kinds and "crash" in kinds
-        assert outcomes["a"].attempts == 4
+        hang = outcomes["hang"]
+        assert hang.status == "failed"
+        assert hang.attempts == 1
+        assert [f.kind for f in hang.failures] == ["timeout"]
+        assert hang.failures[0].elapsed >= 1.0
+        assert executor.timeouts == 1
+        assert executor.retries == 0
+        # The run killed as collateral restarted without a charge.
+        stalled = outcomes["stall-once"]
+        assert (stalled.status, stalled.attempts, stalled.failures) == ("ok", 1, [])
+        assert set(collected) == {"short", "stall-once"}
 
     def test_invariant_violation_crosses_the_pool_intact(self):
         """Satellite: a violation in a worker must arrive structured."""
         executor, outcomes, collected = run_executor(
-            _invariant_worker, ["a", "b"], fast(), jobs=2
+            _invariant_worker, ["a", "b"], jobs=2
         )
         assert {o.status for o in outcomes.values()} == {"failed"}
         assert collected == {}
@@ -398,7 +326,7 @@ class TestInvariantViolationPickling:
 
     def test_surfaces_as_itself_through_a_process_pool(self):
         with ProcessPoolExecutor(max_workers=1) as pool:
-            future = pool.submit(_invariant_worker, ("a", None, 0, "fp"))
+            future = pool.submit(_invariant_worker, ("a", None))
             with pytest.raises(InvariantViolation) as info:
                 future.result()
         assert info.value.code == "SAN-RETIRE-ORDER"
@@ -457,33 +385,104 @@ class TestCheckedJson:
         ]
 
 
-# ----- the runner under injected faults ---------------------------------------
+# ----- the runner under faults ------------------------------------------------
+
+#: A child process runs a batch whose every worker dies.  The batch must
+#: end in SweepFailure (exit 3 below) and the child must survive it: a
+#: regression that lets the death reach the caller kills only the child.
+_ALWAYS_DYING_BATCH = textwrap.dedent(
+    """
+    import os
+    import sys
+
+    import repro.analysis.runner as runner_module
+    from repro.analysis.resilience import ResilienceConfig, SweepFailure
+
+
+    def die(args):
+        os._exit(71)
+
+
+    if __name__ == "__main__":
+        runner_module._pool_execute = die
+        runner = runner_module.Runner(
+            jobs=2, resilience=ResilienceConfig(max_attempts=3)
+        )
+        points = [
+            runner_module.RunRequest("mmx", n, scale=1.2e-5) for n in (2, 4)
+        ]
+        try:
+            runner.run_batch(points)
+        except SweepFailure as failure:
+            print(failure.summary())
+            kinds = {f.kind for o in failure.failed for f in o.failures}
+            print("kinds:", sorted(kinds))
+            sys.exit(3)
+    """
+)
 
 
 class TestRunnerResilience:
-    def test_injected_crash_retries_to_a_bit_identical_result(self, tmp_path):
-        reference = Runner().run(tiny())
+    def test_injected_crash_retries_to_a_bit_identical_result(
+        self, tmp_path, monkeypatch
+    ):
+        points = [
+            tiny(), tiny(n_threads=4), tiny(isa="mom"), tiny(isa="mom", n_threads=4)
+        ]
+        victim = points[2]
+        serial = Runner().run_batch(points)
 
-        faultinject.install(FaultPlan(crash_fraction=1.0))
-        runner = Runner(cache_dir=str(tmp_path), resilience=FAST)
-        result = runner.run(tiny())
-        assert result == reference
-        assert runner.stats.retries == 1
+        monkeypatch.setattr(
+            runner_module,
+            "_pool_execute",
+            functools.partial(_die_once_then_simulate, str(tmp_path / "died"), victim),
+        )
+        cache_dir = str(tmp_path / "cache")
+        runner = Runner(jobs=2, cache_dir=cache_dir)
+        results = runner.run_batch(points)
+        assert runner.stats.pool_breaks == 1
         assert runner.stats.failed_points == 0
-        outcome = runner.outcomes[tiny()]
-        assert outcome.status == "ok"
-        assert outcome.attempts == 2
-        assert outcome.failures[0].kind == "crash"
+        assert runner.stats.retries >= 1
+        outcome = runner.outcomes[victim]
+        assert (outcome.status, outcome.attempts) == ("ok", 2)
+        assert [f.kind for f in outcome.failures] == ["pool"]
+        for point in points:
+            assert canonical(results[point]) == canonical(serial[point])
+
+        warm = Runner(cache_dir=cache_dir)
+        served = warm.run_batch(points)
+        assert warm.stats.disk_hits == 4
+        assert warm.stats.simulated == 0
+        for point in points:
+            assert canonical(served[point]) == canonical(serial[point])
+
+    def test_always_dying_worker_ends_in_sweep_failure(self, tmp_path):
+        script = tmp_path / "always_dying.py"
+        script.write_text(_ALWAYS_DYING_BATCH)
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": _SRC_PATH},
+            timeout=120,
+        )
+        assert proc.returncode == 3, proc.stdout + proc.stderr
+        assert "2 of 2 simulation points failed permanently" in proc.stdout
+        assert proc.stdout.count("after 3 attempt(s)") == 2
+        assert "kinds: ['pool']" in proc.stdout
 
     def test_injected_corruption_is_quarantined_and_recomputed(self, tmp_path):
-        faultinject.install(FaultPlan(corrupt_fraction=1.0))
-        chaos = Runner(cache_dir=str(tmp_path), resilience=FAST)
-        reference = chaos.run(tiny())
+        reference = Runner(cache_dir=str(tmp_path)).run(tiny())
+        (entry,) = tmp_path.glob("*.json")
+        # A well-formed envelope with the wrong checksum: only the
+        # checksum can tell it from a good entry.
+        entry.write_text(
+            '{"checksum": "0000000000000000", "payload": {"result_format": 2}}'
+        )
         scan = verify_cache(str(tmp_path))
-        assert len(scan["corrupt"]) == 1  # the entry really was corrupted
+        assert len(scan["corrupt"]) == 1
 
-        faultinject.install(None)
-        warm = Runner(cache_dir=str(tmp_path), resilience=FAST)
+        warm = Runner(cache_dir=str(tmp_path))
         with pytest.warns(CacheIntegrityWarning, match="quarantined"):
             result = warm.run(tiny())
         assert result == reference
@@ -498,16 +497,14 @@ class TestRunnerResilience:
     def test_sweep_failure_salvages_and_caches_the_good_points(
         self, tmp_path, monkeypatch
     ):
-        real = runner_module._pool_execute
-
         def selective(args):
             if args[0].n_threads == 4:
                 raise ValueError("synthetic permanent failure")
-            return real(args)
+            return _SIMULATE(args)
 
         monkeypatch.setattr(runner_module, "_pool_execute", selective)
         good, bad = tiny(), tiny(n_threads=4)
-        runner = Runner(cache_dir=str(tmp_path), resilience=FAST)
+        runner = Runner(cache_dir=str(tmp_path))
         with pytest.raises(SweepFailure) as info:
             runner.run_batch([good, bad])
         assert [o.request for o in info.value.failed] == [bad]
@@ -525,20 +522,18 @@ class TestRunnerResilience:
         assert warm.stats.simulated == 0
 
     def test_hang_on_the_final_attempt_raises_instead_of_deadlocking(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
-        # The nastiest timing edge: the injected hang lands on the last
-        # attempt of the budget, so there is no retry left to save the
-        # point.  The timeout kill must still fire and the sweep must
-        # end in SweepFailure — not sleep out the 30 s hang, and not
-        # wait forever on a worker that will never report.
-        faultinject.install(FaultPlan(hang_fraction=1.0, hang_seconds=30.0))
+        # The hang lands on the last attempt of the budget, so nothing
+        # can save the point.  The timeout kill must still fire and the
+        # sweep must end in SweepFailure — not sleep out the hang, and
+        # not wait forever on a worker that will never report.
+        monkeypatch.setattr(runner_module, "_pool_execute", _hang_forever)
         # Two points + jobs=2 force pooled execution: only a pool can
-        # preempt a hang (a single-point batch runs serially, where a
-        # hang deliberately sleeps to completion).
+        # preempt a hang (a single-point batch runs in process).
         runner = Runner(
             cache_dir=str(tmp_path), jobs=2,
-            resilience=fast(timeout=0.5, max_attempts=1),
+            resilience=ResilienceConfig(timeout=0.5, max_attempts=1),
         )
         started = time.monotonic()
         with pytest.raises(SweepFailure) as info:
@@ -549,13 +544,4 @@ class TestRunnerResilience:
             assert outcome.failures[-1].kind == "timeout"
         assert runner.stats.failed_points == 2
         assert runner.stats.timeouts == 2
-        assert runner.stats.retries == 0  # the budget really was 1
-
-    def test_faults_keyed_to_later_attempts_leave_attempt_zero_clean(
-        self, tmp_path
-    ):
-        faultinject.install(FaultPlan(crash_fraction=1.0, fault_attempt=1))
-        runner = Runner(cache_dir=str(tmp_path), resilience=FAST)
-        runner.run(tiny())
         assert runner.stats.retries == 0
-        assert runner.outcomes[tiny()].attempts == 1

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+import repro.analysis.runner as runner_module
 from repro.analysis.resilience import ResilienceConfig, SweepFailure
 from repro.analysis.runner import Runner
 from repro.analysis.serving import (
@@ -20,8 +21,6 @@ from repro.analysis.serving import (
     serving_code_version,
 )
 from repro.serving.admission import ADMISSION_POLICIES
-from repro.verify import faultinject
-from repro.verify.faultinject import FaultPlan
 
 SCALE = 1.2e-5
 
@@ -128,15 +127,15 @@ class TestCacheDiscipline:
                 parallel[request], sort_keys=True
             )
 
-    def test_failed_point_is_recorded_in_outcomes(self):
+    def test_failed_point_is_recorded_in_outcomes(self, monkeypatch):
+        def failing(args):
+            raise OSError("worker lost its disk")
+
+        monkeypatch.setattr(runner_module, "_pool_execute", failing)
         request = small_request()
-        faultinject.install(FaultPlan(crash_fraction=1.0))
-        try:
-            runner = Runner(resilience=ResilienceConfig(max_attempts=1))
-            with pytest.raises(SweepFailure):
-                runner.run_batch([request])
-        finally:
-            faultinject.install(None)
+        runner = Runner(resilience=ResilienceConfig(max_attempts=1))
+        with pytest.raises(SweepFailure):
+            runner.run_batch([request])
         assert runner.stats.failed_points == 1
         assert runner.outcomes[request].status == "failed"
 

@@ -1,8 +1,8 @@
 """Determinism audit: no unseeded randomness, no ordering dependence.
 
 The whole harness rests on runs being exactly reproducible — the result
-cache, the bit-identity suite, the golden runs and the chaos harness's
-byte-identical-report guarantee all assume it (policy in
+cache, the bit-identity suite, the golden runs and the bit-identical
+re-run of points a dead worker lost all assume it (policy in
 ``docs/TESTING.md``).  These tests audit the two ways determinism rots:
 
 * **unseeded randomness / wall-clock leaks** — the ``DET-*`` family of

@@ -161,6 +161,19 @@ class TestDecoupledHierarchy:
         m.access(0, 0x7000, AT.SCALAR_LOAD, done + 100)
         assert m.stats.l1.hits == before
 
+    def test_invalidation_adds_two_cycles_to_the_vector_access(self):
+        # Both lines are L2-resident; only A also has a scalar L1 copy,
+        # so streaming A pays the exclusive-bit penalty on top of the
+        # L2 hit that streaming B costs.
+        m = DecoupledHierarchy()
+        a, b = 0x7000, 0x9000
+        m.access(0, a, AT.SCALAR_LOAD, 0)
+        m.access(0, b, AT.VECTOR_LOAD, 1000)
+        to_b = m.access(0, b, AT.VECTOR_LOAD, 2000) - 2000
+        to_a = m.access(0, a, AT.VECTOR_LOAD, 3000) - 3000
+        assert m.stats.coherence_invalidations == 1
+        assert to_a - to_b == 2
+
     def test_no_invalidation_when_not_resident(self):
         m = DecoupledHierarchy()
         m.access(0, 0x9000, AT.VECTOR_LOAD, 0)

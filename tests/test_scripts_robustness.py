@@ -1,16 +1,15 @@
-"""Robustness of the experiment scripts: guard rails, checkpoint, flags."""
+"""Robustness of the experiment scripts: guard rails, flags, cache checks."""
 
 import glob
 import json
 import os
-import signal
 import sys
 from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis.runner import write_checked_json
-from repro.verify import faultinject
+from repro.analysis.resilience import FailureRecord, RunOutcome, SweepFailure
+from repro.analysis.runner import RunRequest, write_checked_json
 
 SCRIPTS_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts"
@@ -20,7 +19,14 @@ sys.path.insert(0, SCRIPTS_DIR)
 import check_hotloop  # noqa: E402
 import run_experiments  # noqa: E402
 import verify_tool  # noqa: E402
-from run_experiments import SweepCheckpoint  # noqa: E402
+
+#: Valid JSON in the cache's own envelope shape, on purpose: the
+#: corruption must be caught by the checksum, not by a parse error (and
+#: not waved through as a pre-checksum legacy entry).
+CORRUPT_PAYLOAD = (
+    b'{"checksum": "0000000000000000", '
+    b'"payload": {"corrupted": "cache entry"}}'
+)
 
 
 class TestCheckHotloopGuards:
@@ -76,44 +82,6 @@ class TestCheckHotloopGuards:
         assert "optimized_speedup" in out
 
 
-class TestSweepCheckpoint:
-    KEY = {"scale": "1e-05", "sampling": None, "code_version": "v1"}
-
-    def test_fresh_checkpoint_resumes_nothing(self, tmp_path):
-        checkpoint = SweepCheckpoint(str(tmp_path), self.KEY)
-        assert checkpoint.resumed_from == []
-
-    def test_marks_survive_and_resume(self, tmp_path):
-        first = SweepCheckpoint(str(tmp_path), self.KEY)
-        first.mark("figure5")
-        first.mark("figure6")
-        resumed = SweepCheckpoint(str(tmp_path), self.KEY)
-        assert resumed.resumed_from == ["figure5", "figure6"]
-
-    def test_key_mismatch_invalidates(self, tmp_path):
-        SweepCheckpoint(str(tmp_path), self.KEY).mark("figure5")
-        other = dict(self.KEY, code_version="v2")
-        assert SweepCheckpoint(str(tmp_path), other).resumed_from == []
-
-    def test_corrupt_checkpoint_is_ignored(self, tmp_path):
-        SweepCheckpoint(str(tmp_path), self.KEY).mark("figure5")
-        with open(tmp_path / "sweep-checkpoint.json", "w") as handle:
-            handle.write("{torn")
-        assert SweepCheckpoint(str(tmp_path), self.KEY).resumed_from == []
-
-    def test_clear_removes_the_file(self, tmp_path):
-        checkpoint = SweepCheckpoint(str(tmp_path), self.KEY)
-        checkpoint.mark("figure5")
-        checkpoint.clear()
-        assert not os.path.exists(tmp_path / "sweep-checkpoint.json")
-        assert SweepCheckpoint(str(tmp_path), self.KEY).resumed_from == []
-
-    def test_no_cache_dir_disables_persistence(self):
-        checkpoint = SweepCheckpoint(None, self.KEY)
-        checkpoint.mark("figure5")  # must not raise
-        checkpoint.clear()
-
-
 class TestFlagValidation:
     def test_negative_retries_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -136,7 +104,7 @@ class TestFlagValidation:
         assert args.fail_fast
 
 
-# ----- the full driver under interruption and fault summaries -----------------
+# ----- the full driver's fault summary ----------------------------------------
 
 
 def _figure_stub(name):
@@ -161,51 +129,6 @@ def _stub_all_figures(monkeypatch):
         "run_fig9_summary", "run_stall_breakdown",
     ):
         monkeypatch.setattr(run_experiments, attr, _figure_stub(attr))
-
-
-def _checkpoint_key(scale=1e-5):
-    return {
-        "scale": repr(scale),
-        "sampling": None,
-        "code_version": run_experiments.code_version(),
-    }
-
-
-class TestSigtermCheckpointFlush:
-    def test_sigterm_mid_sweep_flushes_checkpoint_and_exits_143(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setattr(
-            run_experiments, "RESULTS_DIR", str(tmp_path / "results")
-        )
-        _stub_all_figures(monkeypatch)
-
-        def dying_fig4(scale, runner, **kwargs):
-            # Stand-in for a scheduler's polite kill arriving mid-figure:
-            # the handler main() installed turns it into SystemExit(143).
-            signal.raise_signal(signal.SIGTERM)
-            pytest.fail("the SIGTERM handler did not unwind the sweep")
-
-        monkeypatch.setattr(run_experiments, "run_fig4_ideal", dying_fig4)
-        cache_dir = str(tmp_path / "cache")
-        rc = run_experiments.main(
-            ["1e-5", "--cache-dir", cache_dir, "--output", "-"]
-        )
-        assert rc == 128 + signal.SIGTERM
-
-        # The checkpoint was flushed mid-unwind: a rerun resumes from
-        # table3 exactly as it would after a SIGKILL.
-        resumed = SweepCheckpoint(cache_dir, _checkpoint_key())
-        assert resumed.resumed_from == ["table3"]
-
-        captured = capsys.readouterr()
-        assert "interrupted; figure checkpoint flushed" in captured.err
-        assert "resilience:" in captured.out
-        with open(
-            os.path.join(str(tmp_path / "results"), "BENCH_experiments.json")
-        ) as handle:
-            bench = json.load(handle)
-        assert bench["status"] == "interrupted"
 
 
 class TestResilienceSummaryLine:
@@ -234,6 +157,38 @@ class TestResilienceSummaryLine:
             assert json.load(handle)["status"] == "ok"
 
 
+    def test_sweep_failure_exits_3_with_the_summary(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(
+            run_experiments, "RESULTS_DIR", str(tmp_path / "results")
+        )
+        _stub_all_figures(monkeypatch)
+
+        def failing_fig4(scale, runner, **kwargs):
+            record = FailureRecord("timeout", "Timeout", "worker killed", 0, 1.0)
+            outcome = RunOutcome(
+                RunRequest("mmx", 8), status="failed", attempts=1,
+                failures=[record],
+            )
+            raise SweepFailure([outcome], total=1)
+
+        monkeypatch.setattr(run_experiments, "run_fig4_ideal", failing_fig4)
+        rc = run_experiments.main([
+            "1e-5", "--cache-dir", str(tmp_path / "cache"),
+            "--output", "-",
+        ])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "1 of 1 simulation points failed permanently" in captured.err
+        assert "[timeout] Timeout: worker killed" in captured.err
+        assert "resilience:" in captured.out
+        with open(
+            os.path.join(str(tmp_path / "results"), "BENCH_experiments.json")
+        ) as handle:
+            assert json.load(handle)["status"] == "failed"
+
+
 # ----- verify_tool cache subcommand -------------------------------------------
 
 
@@ -257,7 +212,7 @@ class TestVerifyToolCache:
         self.entry(tmp_path)
         corrupt = self.entry(tmp_path, name="bb")
         with open(corrupt, "wb") as handle:
-            handle.write(faultinject.CORRUPT_PAYLOAD)
+            handle.write(CORRUPT_PAYLOAD)
         assert verify_tool.run_cache(cache_dir=str(tmp_path)) is False
         out = capsys.readouterr().out
         assert "1 ok, 1 corrupt" in out
@@ -267,7 +222,7 @@ class TestVerifyToolCache:
     def test_purge_quarantines_and_rescans_clean(self, tmp_path, capsys):
         corrupt = self.entry(tmp_path, name="bb")
         with open(corrupt, "wb") as handle:
-            handle.write(faultinject.CORRUPT_PAYLOAD)
+            handle.write(CORRUPT_PAYLOAD)
         assert (
             verify_tool.run_cache(cache_dir=str(tmp_path), purge=True)
             is True
@@ -288,7 +243,7 @@ class TestVerifyToolCache:
     def test_main_cache_subcommand_gates_exit_status(self, tmp_path, capsys):
         corrupt = self.entry(tmp_path, name="bb")
         with open(corrupt, "wb") as handle:
-            handle.write(faultinject.CORRUPT_PAYLOAD)
+            handle.write(CORRUPT_PAYLOAD)
         # main() receives a full argv (program name first).
         argv = ["verify_tool.py", "cache", "--cache-dir", str(tmp_path)]
         assert verify_tool.main(argv) == 1
