@@ -28,6 +28,7 @@ from repro.core.metrics import RunResult
 from repro.tracegen.mixes import PAPER_MOM_MINSTS, WORKLOAD_MIXES
 from repro.tracegen.program import DEFAULT_SCALE, build_program_trace
 from repro.tracegen.serialize import TraceCache
+from repro.workloads.mediabench import collector_paused
 
 THREAD_SWEEP = (1, 2, 4, 8)
 ISAS = ("mmx", "mom")
@@ -218,6 +219,7 @@ def run_breakdown_table3(
     """
     runner = runner or Runner()
 
+    @collector_paused()
     def compute() -> dict:
         trace_dir = runner.trace_dir
         trace_cache = TraceCache(trace_dir) if trace_dir else None

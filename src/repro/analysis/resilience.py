@@ -1,10 +1,11 @@
 """Fault-tolerant execution of simulation batches on one host.
 
 The run engine (:mod:`repro.analysis.runner`) fans independent
-simulation points out over a ``ProcessPoolExecutor``.  Every point is a
-pure function of its request, so rerunning one reproduces it bit for
-bit; what can still go wrong is the host: a worker gets OOM-killed, or a
-run stalls.  This module keeps such events from ending the sweep:
+simulation points out over a ``ProcessPoolExecutor`` of forked workers.
+Every point is a pure function of its request, so rerunning one
+reproduces it bit for bit; what can still go wrong is the host: a worker
+gets OOM-killed, or a run stalls.  This module keeps such events from
+ending the sweep:
 
 * **Worker death** — a dead worker breaks the whole pool.  Every
   in-flight point is charged one ``pool`` failure and re-run at once on
@@ -33,6 +34,7 @@ See ``docs/RESILIENCE.md`` for the failure taxonomy.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -197,7 +199,8 @@ class ResilientExecutor:
     config:
         The :class:`ResilienceConfig` policy.
     jobs:
-        Worker processes; ``1`` executes in process (serially).
+        Worker processes; ``1`` executes in process (serially), and
+        more fan every batch out over a pool of forked workers.
     worker:
         Picklable callable taking ``(request, trace_dir)`` and
         returning a payload dict.  Runs in worker processes (pooled) or
@@ -227,7 +230,7 @@ class ResilientExecutor:
         """
         outcomes = {r: RunOutcome(request=r) for r in requests}
         tasks = [_Task(r) for r in requests]
-        if self.jobs > 1 and len(tasks) > 1:
+        if self.jobs > 1:
             self._run_pooled(tasks, trace_dir, outcomes, on_success)
         else:
             self._run_serial(tasks, trace_dir, outcomes, on_success)
@@ -313,7 +316,13 @@ class ResilientExecutor:
                 while pending and len(running) < max_workers:
                     task = pending.popleft()
                     if pool is None:
-                        pool = ProcessPoolExecutor(max_workers=max_workers)
+                        # Forked workers inherit the workload traces the
+                        # runner built before fanning out (Python 3.14
+                        # stops forking by default on Linux).
+                        pool = ProcessPoolExecutor(
+                            max_workers=max_workers,
+                            mp_context=multiprocessing.get_context("fork"),
+                        )
                     try:
                         future = pool.submit(
                             self.worker, (task.request, trace_dir)

@@ -12,18 +12,25 @@ to a shared :class:`Runner`.  The runner then
 * **deduplicates** requests: figures 5/6 and table 4 (for example) share
   their conventional-hierarchy round-robin points, which are simulated
   once per process no matter how many figures ask;
-* **fans out** cache-missing runs across a ``ProcessPoolExecutor`` when
-  ``jobs > 1`` — runs are independent and deterministically seeded, so
-  parallel and serial execution produce bit-identical results;
+* **fans out** cache-missing runs across a ``ProcessPoolExecutor`` of
+  forked workers when ``jobs > 1`` — runs are independent and
+  deterministically seeded, so parallel and serial execution produce
+  bit-identical results;
 * **persists** results as JSON under a cache directory (the experiment
   script uses ``results/.runcache/``), keyed by the fingerprint, so
   re-running an unchanged sweep performs zero simulations and any code
   or configuration change transparently invalidates stale entries.
 
-Trace generation is cached the same way: workload traces are memoized in
-process and, when a cache directory is configured, persisted via
-:class:`repro.tracegen.serialize.TraceCache` so every process of a sweep
-parses each trace once instead of regenerating it per run.
+Workload traces are built once per process and memoized
+(:func:`workload_traces`).  With a cache directory they are also saved
+via :class:`repro.tracegen.serialize.TraceCache`, and a later process
+loads them from there, although loading costs more than building (about
+9 against 4 µs per instruction on a 2-vCPU VM).  Before a batch fans
+out, the parent builds (or loads) the workloads of the batch's paper
+points, and the forked workers inherit them through the memo
+(:func:`_prebuild_workloads`): a pooled sweep reads each workload once,
+in the parent, instead of in every worker of every batch.  Serving
+points still read their traces in the workers.
 
 All results returned by the runner — serial, parallel, cold or warm
 cache — pass through the same JSON round-trip
@@ -532,6 +539,30 @@ def workload_traces(
     return traces
 
 
+def _prebuild_workloads(requests, trace_dir: str | None = None) -> None:
+    """Build the workloads of ``requests`` in this process, before a fan-out.
+
+    Pool workers fork after this and find the traces in the memo, so no
+    worker builds or parses them again.  Serving requests are left out:
+    their workers load stream variants on top of the workload, and a
+    prototype that prebuilt their workloads too raised the serving
+    benchmark's peak RSS by about 15 %.  At most as many workloads are built as the memo holds,
+    so none is evicted before the workers fork.  A build that raises here
+    is left to the workers: they raise it again and record it on each
+    point that needs it, as without this step.
+    """
+    keys = dict.fromkeys(
+        (request.isa, request.scale, request.seed)
+        for request in requests
+        if isinstance(request, RunRequest)
+    )
+    for isa, scale, seed in list(keys)[:_WORKLOAD_MEMO_LIMIT]:
+        try:
+            workload_traces(isa, scale, seed, trace_dir)
+        except Exception:
+            pass
+
+
 # ------------------------------------------------------------------ execution
 
 
@@ -624,8 +655,11 @@ class Runner:
     ----------
     jobs:
         Worker processes for cache-missing runs.  ``1`` executes in
-        process; higher values fan out over a ``ProcessPoolExecutor``.
-        Results are bit-identical either way.
+        process; higher values fan every batch out over a
+        ``ProcessPoolExecutor`` of forked workers, after building the
+        batch's workload traces in this process
+        (:func:`_prebuild_workloads`).  Results are bit-identical either
+        way.
     cache_dir:
         Directory for the on-disk result cache (and, under
         ``traces/<code version>/``, the trace cache).  ``None`` disables
@@ -760,6 +794,8 @@ class Runner:
         if todo:
             started = time.perf_counter()
             trace_dir = self.trace_dir
+            if self.jobs > 1:
+                _prebuild_workloads(todo, trace_dir)
 
             def on_success(request: Request, payload: dict) -> None:
                 # Every result passes through the same round-trip the

@@ -14,8 +14,7 @@ greppability and zero dependencies over peak density:
     ...
 
 ``save_trace``/``load_trace`` round-trip every field the simulator
-consumes; a cached loader (`TraceCache`) keys files by the generation
-parameters.
+consumes; `TraceCache` keys files by the generation parameters.
 """
 
 from __future__ import annotations
@@ -126,17 +125,14 @@ def load_trace(path: str) -> Trace:
 class TraceCache:
     """Directory-backed cache of generated traces.
 
-    Traces are immutable once built, so the cache also memoizes loaded
-    ``Trace`` objects in memory (bounded LRU): an experiment sweep that
-    simulates the same workload under dozens of machine configurations
-    generates (or parses) each trace once per process instead of once
-    per run.
+    Keys files by the generation parameters.  It keeps nothing in
+    memory: every caller asks for each trace once per build, and the
+    runner memoizes whole workloads in process
+    (:func:`repro.analysis.runner.workload_traces`).
     """
 
-    def __init__(self, directory: str, memo_limit: int = 64):
+    def __init__(self, directory: str):
         self.directory = directory
-        self.memo_limit = memo_limit
-        self._memo: dict[tuple, Trace] = {}
         os.makedirs(directory, exist_ok=True)
 
     def _path(self, name: str, isa: str, scale: float, seed: int) -> str:
@@ -145,16 +141,11 @@ class TraceCache:
         )
 
     def get(self, name: str, isa: str, scale: float, seed: int = 0) -> Trace:
-        """Return the trace, generating and caching it on first use."""
-        key = (name, isa, float(scale), int(seed))
-        trace = self._memo.get(key)
-        if trace is not None:
-            return trace
+        """Load the trace, or generate and save it on first use."""
         path = self._path(name, isa, scale, seed)
-        trace = None
         if os.path.exists(path):
             try:
-                trace = load_trace(path)
+                return load_trace(path)
             except (OSError, ValueError, IndexError) as exc:
                 # A corrupt cached trace (bit rot, external truncation —
                 # writes themselves are atomic) must not kill the sweep:
@@ -164,10 +155,6 @@ class TraceCache:
                     f"corrupt cached trace {path} ({exc}); regenerating",
                     stacklevel=2,
                 )
-        if trace is None:
-            trace = build_program_trace(name, isa, scale=scale, seed=seed)
-            save_trace(trace, path)
-        if len(self._memo) >= self.memo_limit:
-            self._memo.pop(next(iter(self._memo)))
-        self._memo[key] = trace
+        trace = build_program_trace(name, isa, scale=scale, seed=seed)
+        save_trace(trace, path)
         return trace

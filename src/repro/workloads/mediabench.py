@@ -8,6 +8,9 @@ round the multiprogrammed list to 8 slots.  The MPEG-4 control profile
 
 from __future__ import annotations
 
+import gc
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.tracegen.mixes import WORKLOAD_MIXES
@@ -88,6 +91,36 @@ WORKLOAD_ORDER: tuple[str, ...] = (
 )
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector while a whole workload is built.
+
+    A workload at scale 1e-3 is over a million long-lived ``Instruction``
+    objects, and the collector would traverse them again at every young
+    and middle collection while they pile up.  The caller's
+    ``gc.isenabled()`` is restored on every exit.  A caller that had the
+    collector enabled gets one full collection at the end, so the new
+    objects settle in the oldest generation at once and no collection is
+    left pending for the run that reads them.  (Freezing them with
+    ``gc.freeze`` would skip that pass, but the oldest generation then
+    looks nearly empty, so the run that follows triggers extra full
+    collections; and frozen cyclic garbage is never freed.)  Pause
+    around a whole workload, not per program: each pause ends in a full
+    collection.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            try:
+                gc.collect()
+            finally:
+                gc.enable()
+
+
+@collector_paused()
 def build_workload_traces(
     isa: str,
     scale: float = DEFAULT_SCALE,
@@ -101,6 +134,8 @@ def build_workload_traces(
     :class:`repro.tracegen.serialize.TraceCache`: when given, traces are
     loaded from (or persisted to) its directory instead of being rebuilt
     — generation is deterministic, so the result is identical either way.
+    The cyclic collector is paused for the whole build
+    (:func:`collector_paused`).
     """
     if isa not in ("mmx", "mom"):
         raise ValueError(f"unknown ISA {isa!r}")
@@ -119,6 +154,7 @@ def build_workload_traces(
     return traces
 
 
+@collector_paused()
 def build_stream_trace_variants(
     isa: str,
     needed: dict[str, int],

@@ -137,7 +137,7 @@ def _die_once_then_simulate(marker, victim, args):
 class _BrokenPool:
     """A process pool that is already broken whenever a run is submitted."""
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         self.submits = 0
 
     def submit(self, fn, args):
@@ -387,8 +387,9 @@ class TestCheckedJson:
 
 # ----- the runner under faults ------------------------------------------------
 
-#: A child process runs a batch whose every worker dies.  The batch must
-#: end in SweepFailure (exit 3 below) and the child must survive it: a
+#: A child process runs a batch, one point per thread count on its
+#: command line, whose every worker dies.  The batch must end in
+#: SweepFailure (exit 3 below) and the child must survive it: a
 #: regression that lets the death reach the caller kills only the child.
 _ALWAYS_DYING_BATCH = textwrap.dedent(
     """
@@ -409,7 +410,8 @@ _ALWAYS_DYING_BATCH = textwrap.dedent(
             jobs=2, resilience=ResilienceConfig(max_attempts=3)
         )
         points = [
-            runner_module.RunRequest("mmx", n, scale=1.2e-5) for n in (2, 4)
+            runner_module.RunRequest("mmx", int(n), scale=1.2e-5)
+            for n in sys.argv[1:]
         ]
         try:
             runner.run_batch(points)
@@ -456,20 +458,49 @@ class TestRunnerResilience:
         for point in points:
             assert canonical(served[point]) == canonical(serial[point])
 
-    def test_always_dying_worker_ends_in_sweep_failure(self, tmp_path):
+    @staticmethod
+    def _always_dying_batch(tmp_path, threads):
         script = tmp_path / "always_dying.py"
         script.write_text(_ALWAYS_DYING_BATCH)
-        proc = subprocess.run(
-            [sys.executable, str(script)],
+        return subprocess.run(
+            [sys.executable, str(script), *map(str, threads)],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": _SRC_PATH},
             timeout=120,
         )
+
+    def test_always_dying_worker_ends_in_sweep_failure(self, tmp_path):
+        proc = self._always_dying_batch(tmp_path, (2, 4))
         assert proc.returncode == 3, proc.stdout + proc.stderr
         assert "2 of 2 simulation points failed permanently" in proc.stdout
         assert proc.stdout.count("after 3 attempt(s)") == 2
         assert "kinds: ['pool']" in proc.stdout
+
+    def test_one_point_batch_is_pooled_so_a_dying_worker_is_contained(
+        self, tmp_path
+    ):
+        proc = self._always_dying_batch(tmp_path, (2,))
+        assert proc.returncode == 3, proc.stdout + proc.stderr
+        assert "1 of 1 simulation points failed permanently" in proc.stdout
+        assert proc.stdout.count("after 3 attempt(s)") == 1
+        assert "kinds: ['pool']" in proc.stdout
+
+    def test_one_point_batch_is_pooled_so_its_timeout_fires(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(runner_module, "_pool_execute", _hang_forever)
+        runner = Runner(
+            cache_dir=str(tmp_path), jobs=2,
+            resilience=ResilienceConfig(timeout=0.5),
+        )
+        started = time.monotonic()
+        with pytest.raises(SweepFailure) as info:
+            runner.run(tiny())
+        assert time.monotonic() - started < 15.0, "hang was slept out"
+        (outcome,) = info.value.failed
+        assert [f.kind for f in outcome.failures] == ["timeout"]
+        assert runner.stats.timeouts == 1
 
     def test_injected_corruption_is_quarantined_and_recomputed(self, tmp_path):
         reference = Runner(cache_dir=str(tmp_path)).run(tiny())
@@ -529,8 +560,7 @@ class TestRunnerResilience:
         # sweep must end in SweepFailure — not sleep out the hang, and
         # not wait forever on a worker that will never report.
         monkeypatch.setattr(runner_module, "_pool_execute", _hang_forever)
-        # Two points + jobs=2 force pooled execution: only a pool can
-        # preempt a hang (a single-point batch runs in process).
+        # jobs=2 forces pooled execution: only a pool can preempt a hang.
         runner = Runner(
             cache_dir=str(tmp_path), jobs=2,
             resilience=ResilienceConfig(timeout=0.5, max_attempts=1),

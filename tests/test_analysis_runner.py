@@ -6,7 +6,10 @@ import os
 
 import pytest
 
+import repro.tracegen.serialize as serialize
+import repro.workloads.mediabench as mediabench
 from repro.analysis import runner as runner_module
+from repro.analysis.resilience import SweepFailure
 from repro.analysis.runner import (
     RunRequest,
     Runner,
@@ -210,6 +213,75 @@ class TestRunnerParallel:
         warm = warm_runner.run_batch(batch)
         assert warm_runner.stats.simulated == 0
         assert warm == cold
+
+
+def _parent_only(pid, real):
+    """``real`` in process ``pid``; in any other process, an error."""
+
+    def double(*args, **kwargs):
+        if os.getpid() != pid:
+            raise RuntimeError("a pool worker read a trace")
+        return real(*args, **kwargs)
+
+    return double
+
+
+def canonical(result) -> str:
+    return json.dumps(result_to_dict(result), sort_keys=True)
+
+
+class TestWorkloadPrebuild:
+    """A pooled batch builds its workloads in the parent; workers inherit them."""
+
+    def test_workers_never_build_or_load_a_trace(self, tmp_path, monkeypatch):
+        batch = [
+            tiny(),
+            tiny(n_threads=4),
+            tiny(isa="mom"),
+            tiny(isa="mom", memory="perfect"),
+        ]
+        serial = Runner().run_batch(batch)
+        pid = os.getpid()
+        for module, name in (
+            (serialize, "load_trace"),
+            (serialize, "build_program_trace"),
+            (mediabench, "build_program_trace"),
+        ):
+            monkeypatch.setattr(module, name, _parent_only(pid, getattr(module, name)))
+        runner = Runner(jobs=2, cache_dir=str(tmp_path))
+        parallel = runner.run_batch(batch)
+        assert runner.stats.simulated == 4
+        for request in batch:
+            assert canonical(parallel[request]) == canonical(serial[request]), request
+
+    def test_a_failing_build_fails_only_the_points_that_need_it(
+        self, tmp_path, monkeypatch
+    ):
+        real = serialize.build_program_trace
+
+        def build(name, isa, *args, **kwargs):
+            if isa == "mom":
+                raise RuntimeError("mom generator bug")
+            return real(name, isa, *args, **kwargs)
+
+        monkeypatch.setattr(serialize, "build_program_trace", build)
+        monkeypatch.setattr(mediabench, "build_program_trace", build)
+        bad = [tiny(isa="mom"), tiny(isa="mom", n_threads=4)]
+        good = [tiny(), tiny(n_threads=4)]
+        runner = Runner(jobs=2, cache_dir=str(tmp_path))
+        with pytest.raises(SweepFailure) as info:
+            runner.run_batch(bad + good)
+        assert {outcome.request for outcome in info.value.failed} == set(bad)
+        for outcome in info.value.failed:
+            (record,) = outcome.failures
+            assert (record.kind, record.error) == ("error", "RuntimeError")
+            assert "mom generator bug" in record.message
+        for request in good:
+            assert runner.outcomes[request].status == "ok"
+
+        warm = Runner(cache_dir=str(tmp_path))
+        warm.run_batch(good)
+        assert (warm.stats.disk_hits, warm.stats.simulated) == (2, 0)
 
 
 class TestRunnerStats:

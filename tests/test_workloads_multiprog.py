@@ -1,12 +1,16 @@
 """Tests for the multiprogramming scheduler and workload registry."""
 
+import gc
+
 import pytest
 
+import repro.workloads.mediabench as mediabench
 from repro.tracegen import build_program_trace
 from repro.workloads import (
     MEDIABENCH_PROGRAMS,
     MultiprogramScheduler,
     WORKLOAD_ORDER,
+    build_stream_trace_variants,
     build_workload_traces,
 )
 from repro.workloads.mediabench import workload_total_minsts
@@ -50,6 +54,74 @@ class TestRegistry:
     def test_bad_isa_rejected(self):
         with pytest.raises(ValueError):
             build_workload_traces("sse2")
+
+
+#: The two whole-workload builders, each at a scale of milliseconds.
+WORKLOAD_BUILDS = {
+    "workload": lambda: build_workload_traces("mmx", scale=SCALE),
+    "variants": lambda: build_stream_trace_variants(
+        "mom", {"gsmdec": 2, "mesa": 1}, scale=SCALE
+    ),
+}
+
+
+@pytest.fixture
+def collections():
+    """Generations of the collections that start during the test.
+
+    The caller's collector state is restored afterwards.
+    """
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.callbacks.append(record)
+    yield started
+    gc.callbacks.remove(record)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("build", WORKLOAD_BUILDS.values(), ids=list(WORKLOAD_BUILDS))
+class TestCollectorPause:
+    def test_enabled_collector_returns_after_one_full_collection(
+        self, build, collections
+    ):
+        gc.enable()
+        build()
+        seen = list(collections)
+        assert gc.isenabled()
+        # None during the build: the only one is the final full pass.
+        assert seen == [2]
+
+    def test_disabled_collector_stays_off_and_never_runs(self, build, collections):
+        gc.disable()
+        build()
+        assert not gc.isenabled()
+        assert collections == []
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_survives_a_raising_build(
+        self, build, enabled, collections, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise RuntimeError("generator bug")
+
+        monkeypatch.setattr(mediabench, "build_program_trace", broken)
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        with pytest.raises(RuntimeError, match="generator bug"):
+            build()
+        assert gc.isenabled() is enabled
+        if not enabled:
+            assert collections == []
 
 
 class TestScheduler:
