@@ -4,10 +4,9 @@ Media Workloads" (Corbal, Espasa, Valero — HPCA 2001).
 The package is organized bottom-up:
 
 * :mod:`repro.isa` — the opcode classes, logical registers and decoded
-  instruction record of the scalar/MMX/MOM instruction sets, plus an
-  executable reference model of them (mnemonic tables, packed
-  semantics, an architectural machine and an assembler) that no
-  simulation imports;
+  instruction record of the scalar/MMX/MOM instruction sets, plus a
+  reference model of them (mnemonic tables and packed semantics) that
+  no simulation imports;
 * :mod:`repro.tracegen` — the trace compiler: kernel regions are
   parameterized by per-element costs calibrated to the paper's Table 3
   instruction breakdown;

@@ -373,7 +373,7 @@ def code_version() -> str:
 #:
 #: Adding an SMTConfig field without either forwarding it or extending
 #: this table fails CI (FPR-CONFIG-UNFINGERPRINTED); stale entries fail
-#: too (FPR-EXEMPT-STALE), like isacheck's TIMING_ONLY_MNEMONICS.
+#: too (FPR-EXEMPT-STALE).
 FINGERPRINT_EXEMPT_CONFIG_FIELDS = {
     "resources": "derived: scaled_resources(n_threads) in __post_init__",
     "issue_simd": "derived: 2 for mmx / 1 for mom in __post_init__",

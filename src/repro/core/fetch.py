@@ -27,32 +27,3 @@ class FetchPolicy(enum.Enum):
     OCOUNT = "ocount"
     BALANCE = "balance"
 
-
-def order_threads(
-    policy: FetchPolicy,
-    n_threads: int,
-    rotation: int,
-    inflight_insts: list[int],
-    inflight_ops: list[int],
-    fetched_vector_last: list[bool],
-    simd_queue_empty: bool,
-) -> list[int]:
-    """Thread indices in fetch-priority order for this cycle.
-
-    ``inflight_insts``/``inflight_ops`` count front-end + queued (not yet
-    issued) instructions/operations per thread; ``fetched_vector_last``
-    records whether each thread's previous fetch group contained a vector
-    instruction.
-    """
-    base = [(i + rotation) % n_threads for i in range(n_threads)]
-    if policy is FetchPolicy.RR:
-        return base
-    if policy is FetchPolicy.ICOUNT:
-        return sorted(base, key=lambda t: inflight_insts[t])
-    if policy is FetchPolicy.OCOUNT:
-        return sorted(base, key=lambda t: inflight_ops[t])
-    if policy is FetchPolicy.BALANCE:
-        if simd_queue_empty:
-            return sorted(base, key=lambda t: not fetched_vector_last[t])
-        return sorted(base, key=lambda t: fetched_vector_last[t])
-    raise ValueError(f"unknown fetch policy {policy}")

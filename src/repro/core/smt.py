@@ -35,7 +35,7 @@ from operator import itemgetter
 
 from repro.core.branch import GsharePredictor
 from repro.core.execute import VectorUnit
-from repro.core.fetch import FetchPolicy, order_threads
+from repro.core.fetch import FetchPolicy
 from repro.core.metrics import RunResult
 from repro.core.params import SMTConfig
 from repro.core.queues import IssueQueue
@@ -182,10 +182,48 @@ def _ff_plan(trace: Trace) -> tuple:
     return plan
 
 
-#: Cycles a closed-loop run may pass without committing, fetching or
-#: completing anything before it is declared livelocked.  No modelled
-#: latency comes near it, so only a frozen machine reaches it.
+#: Cycles a run may pass without committing or fetching anything before
+#: it is declared livelocked.  No modelled latency comes near it, so
+#: only a frozen machine reaches it.
 _WATCHDOG_CYCLES = 1 << 20
+
+
+class ProgressWatchdog:
+    """Fails a run once :data:`_WATCHDOG_CYCLES` pass without progress.
+
+    Progress is any change of the mark — (instructions committed,
+    Σ ``fetch_idx``) over the cores checked; a program completes by
+    committing, so completions move it too.  :meth:`check` samples the
+    mark only on its first call in each :data:`_WATCHDOG_CYCLES` block,
+    so a loop may call it every cycle.  The span is measured from the
+    cycle at which the current mark was first seen, not from block
+    boundaries: two samples in adjacent blocks can be cycles apart.
+    """
+
+    __slots__ = ("_block", "_mark", "_since")
+
+    def __init__(self) -> None:
+        self._block = -1
+        self._mark: tuple[int, int] | None = None
+        self._since = 0
+
+    def check(self, now: int, cores) -> None:
+        block = now // _WATCHDOG_CYCLES
+        if block == self._block:
+            return
+        self._block = block
+        mark = (
+            sum(core.committed for core in cores),
+            sum(ctx.fetch_idx for core in cores for ctx in core.threads),
+        )
+        if mark != self._mark:
+            self._mark = mark
+            self._since = now
+        elif now - self._since >= _WATCHDOG_CYCLES:
+            raise RuntimeError(
+                f"no progress between cycles {self._since} and {now}: "
+                f"{mark[0]} instructions committed — livelock"
+            )
 
 
 class InFlight:
@@ -373,10 +411,8 @@ class SMTProcessor:
         self._base_cycles = 0
         self._base_committed = 0
         self._base_equiv = 0.0
-        # Livelock watchdog (see _check_progress).
-        self._watch_block = 0
-        self._watch_mark: tuple | None = None
-        self._watch_cycle = 0
+        # Checked on the idle-skip branches only, so busy cycles pay nothing.
+        self._watchdog = ProgressWatchdog()
         # Statistics.
         self.now = 0
         self.committed = 0
@@ -400,22 +436,12 @@ class SMTProcessor:
             return sorted(base, key=lambda t: threads[t].inflight_insts)
         if policy is FetchPolicy.OCOUNT:
             return sorted(base, key=lambda t: threads[t].inflight_ops)
-        if policy is FetchPolicy.BALANCE:
-            if self.queues[Queue.SIMD].occupancy == 0:
-                return sorted(
-                    base, key=lambda t: not threads[t].fetched_vector_last
-                )
-            return sorted(base, key=lambda t: threads[t].fetched_vector_last)
-        # Fall back to the reference implementation for any new policy.
-        return order_threads(
-            policy,
-            n,
-            self._rotation,
-            [t.inflight_insts for t in threads],
-            [t.inflight_ops for t in threads],
-            [t.fetched_vector_last for t in threads],
-            self.queues[Queue.SIMD].occupancy == 0,
-        )
+        # BALANCE, the one policy left
+        if self.queues[Queue.SIMD].occupancy == 0:
+            return sorted(
+                base, key=lambda t: not threads[t].fetched_vector_last
+            )
+        return sorted(base, key=lambda t: threads[t].fetched_vector_last)
 
     # ------------------------------------------------------------------ driver
 
@@ -838,7 +864,7 @@ class SMTProcessor:
         max_cycles = self.max_cycles
         while not scheduler.done and self.now < max_cycles:
             if not step() and not scheduler.done:
-                self._check_progress()
+                self._watchdog.check(self.now, (self,))
                 target = self._skip_target()
                 if target > self.now:
                     self.now = target
@@ -849,35 +875,6 @@ class SMTProcessor:
             committed_instructions=self.committed - self._base_committed,
             committed_equivalent=self.committed_equiv - self._base_equiv,
         )
-
-    def _check_progress(self) -> None:
-        """Fail fast once :data:`_WATCHDOG_CYCLES` pass without progress.
-
-        Called only on the idle-skip branch, so busy cycles pay nothing,
-        and samples the progress mark — (completions, committed,
-        Σ ``fetch_idx``) — once per :data:`_WATCHDOG_CYCLES` block.  The
-        span is measured from the cycle at which the current mark was
-        first seen, not from block boundaries: two samples in adjacent
-        blocks can be cycles apart.
-        """
-        now = self.now
-        block = now // _WATCHDOG_CYCLES
-        if block == self._watch_block:
-            return
-        self._watch_block = block
-        mark = (
-            self.scheduler.completions,
-            self.committed,
-            sum(ctx.fetch_idx for ctx in self.threads),
-        )
-        if mark != self._watch_mark:
-            self._watch_mark = mark
-            self._watch_cycle = now
-        elif now - self._watch_cycle >= _WATCHDOG_CYCLES:
-            raise RuntimeError(
-                f"no progress between cycles {self._watch_cycle} and "
-                f"{now}: {self.committed} instructions committed — livelock"
-            )
 
     def _check_livelock(self) -> None:
         if self.now >= self.max_cycles:
@@ -939,7 +936,7 @@ class SMTProcessor:
             and self.now < max_cycles
         ):
             if not step() and not scheduler.done:
-                self._check_progress()
+                self._watchdog.check(self.now, (self,))
                 skip = self._skip_target()
                 if skip > self.now:
                     self.now = skip
@@ -970,7 +967,7 @@ class SMTProcessor:
             and self.now < max_cycles
         ):
             if not self.step() and not scheduler.done:
-                self._check_progress()
+                self._watchdog.check(self.now, (self,))
                 # The frozen stall horizons must not drive the idle skip,
                 # so only the wake lists are consulted here.
                 if self._wake:

@@ -16,11 +16,8 @@ their issue queues, functional units and latencies,
 :mod:`repro.isa.instruction` the decoded instruction record every trace
 is made of.
 
-The rest of the package is an executable reference model that no
-simulation imports: the mnemonic tables (:mod:`repro.isa.mmx`,
-:mod:`repro.isa.mom`), packed sub-word semantics
-(:mod:`repro.isa.datatypes`, :mod:`repro.isa.semantics`), an
-architectural machine with an assembler (:mod:`repro.isa.machine`,
-:mod:`repro.isa.assembler`) and assembly generators
-(:mod:`repro.isa.codegen`).
+The rest of the package is a reference model that no simulation
+imports: the mnemonic tables (:mod:`repro.isa.mmx`, :mod:`repro.isa.mom`)
+and packed sub-word semantics (:mod:`repro.isa.datatypes`,
+:mod:`repro.isa.semantics`).
 """

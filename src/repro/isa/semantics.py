@@ -1,8 +1,7 @@
 """Executable semantics for the packed µ-SIMD operations.
 
 This module makes the ISA tables *runnable*: given a mnemonic and 64-bit
-register images it computes the architecturally-defined result.
-:mod:`repro.isa.machine` executes assembly programs with them, and the
+register images it computes the architecturally-defined result.  The
 test suite checks them against plain-Python reference code (saturation
 laws, commutativity, pack/unpack inverses...).
 
@@ -146,19 +145,13 @@ _UNARY_SEMANTICS = {
     "pnegd": (ET.INT32, lambda x: -x),
 }
 
-#: Public view of the table-driven handler sets, consumed by
-#: :mod:`repro.verify.isacheck` when cross-validating the ISA tables.
-BINARY_MNEMONICS = frozenset(_BINARY_SEMANTICS)
-UNARY_MNEMONICS = frozenset(_UNARY_SEMANTICS)
-
 
 def execute_mmx(mnemonic: str, a: int, b: int = 0, imm: int = 0) -> int:
     """Execute one MMX-like packed operation on 64-bit register images.
 
     Supports the arithmetic/logic/format subset of media kernels;
     raises ``KeyError`` for mnemonics without modeled semantics (e.g.
-    memory operations, which :mod:`repro.isa.machine` performs on its
-    byte memory).
+    memory operations).
     """
     if mnemonic in _BINARY_SEMANTICS:
         etype, op, saturating = _BINARY_SEMANTICS[mnemonic]

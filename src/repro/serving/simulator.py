@@ -19,7 +19,7 @@ from collections import deque
 from repro.core.cmp import CmpSystem
 from repro.core.fetch import FetchPolicy
 from repro.core.params import SMTConfig
-from repro.core.smt import SMTProcessor
+from repro.core.smt import ProgressWatchdog, SMTProcessor
 from repro.memory.decoupled import DecoupledHierarchy
 from repro.memory.hierarchy import ConventionalHierarchy
 from repro.serving.admission import AdmissionController, Slot
@@ -208,8 +208,6 @@ class ServingSimulator:
         self.schedule = schedule
         self.traces_by_stream = traces_by_stream
         self.max_cycles = max_cycles
-        self._watch_block = -1
-        self._watch_mark = None
         #: (core, context) -> active stream record (dict, mutated in place)
         self.active: dict[tuple[int, int], dict] = {}
         self.records: list[dict] = []
@@ -277,36 +275,11 @@ class ServingSimulator:
 
     # ----- the event loop ---------------------------------------------------
 
-    def _check_progress(self, now: int) -> None:
-        """Fail fast if a whole ~1M-cycle block passed with zero progress.
-
-        No model latency spans a million cycles, so identical fetch and
-        commit counters across two block boundaries with streams active
-        can only be a livelock (e.g. pathological I-cache set conflict);
-        raising here beats grinding on to ``max_cycles``.
-        """
-        block = now >> 20
-        if block == self._watch_block:
-            return
-        self._watch_block = block
-        fetched = committed = 0
-        for core in self.machine.cores:
-            committed += sum(core.committed_by_thread)
-            for ctx in core.threads:
-                if ctx.trace is not None:
-                    fetched += ctx.fetch_idx
-        mark = (self.scheduler.completions, fetched, committed)
-        if self.active and mark == self._watch_mark:
-            raise RuntimeError(
-                f"no stream made progress between cycles "
-                f"{(block - 1) << 20} and {now}: "
-                f"{len(self.active)} streams livelocked"
-            )
-        self._watch_mark = mark
-
     def run(self) -> dict:
         machine = self.machine
+        cores = machine.cores
         admission = self.admission
+        watchdog = ProgressWatchdog()
         pending = deque(self.schedule)
         while pending or self.active:
             now = machine.now
@@ -323,7 +296,7 @@ class ServingSimulator:
                     f"serving simulation exceeded {self.max_cycles} cycles "
                     f"with {len(self.active)} streams active"
                 )
-            self._check_progress(now)
+            watchdog.check(now, cores)
             completions_before = self.scheduler.completions
             worked = machine.step_cycle()
             now = machine.now  # completion cycle: step already advanced

@@ -211,8 +211,3 @@ def build_program_trace(
         mix=mix,
     )
 
-
-def predicted_trace_length(name: str, isa: str, scale: float = DEFAULT_SCALE) -> float:
-    """Expanded instruction count the generator targets (closed form)."""
-    mix = WORKLOAD_MIXES[name]
-    return predicted_counts(mix, isa)["total"] * 1e6 * scale

@@ -23,12 +23,11 @@ class Severity(enum.IntEnum):
 class Diagnostic:
     """One checker finding, with enough structure to locate and triage it.
 
-    ``checker`` names the producing checker (``asmcheck``, ``isacheck``,
-    ``tracecheck``, ``codelint``); ``code`` is a short stable identifier
-    for the rule (``ASM-DEF-BEFORE-USE``, ``ISA-COUNT``, ...);
-    ``location`` is a human-readable anchor (a program name, a mnemonic,
-    a trace name, a source path) and ``line`` the 1-based line of the
-    finding, where it has one.
+    ``checker`` names the producing checker (``tracecheck``,
+    ``codelint``); ``code`` is a short stable identifier for the rule
+    (``TRACE-STREAM-LENGTH``, ...); ``location`` is a human-readable
+    anchor (a trace name, a source path) and ``line`` the 1-based line
+    of the finding, where it has one.
     """
 
     checker: str

@@ -5,11 +5,12 @@ import pytest
 from repro.core.branch import GsharePredictor
 from repro.core.cmp import cmp_core_config
 from repro.core.execute import VectorUnit
-from repro.core.fetch import FetchPolicy, order_threads
+from repro.core.fetch import FetchPolicy
 from repro.core.params import Resources, SMTConfig, scaled_resources
 from repro.core.queues import IssueQueue
 from repro.core.rob import GraduationWindow
 from repro.core.smt import SMTProcessor
+from repro.isa.opcodes import Queue
 from repro.isa.registers import RegisterClass
 from repro.memory import PerfectMemory
 from repro.workloads import build_workload_traces
@@ -182,36 +183,61 @@ class TestGraduationWindow:
 
 
 class TestFetchPolicies:
-    def setup_method(self):
-        self.kwargs = dict(
-            n_threads=4,
-            rotation=0,
-            inflight_insts=[5, 1, 9, 3],
-            inflight_ops=[5, 30, 9, 3],
-            fetched_vector_last=[True, False, True, False],
-            simd_queue_empty=False,
-        )
+    """Each policy's order, read from the live ``_fetch_order``."""
 
-    def test_rr_rotates(self):
-        order = order_threads(FetchPolicy.RR, 4, 2, [0] * 4, [0] * 4, [False] * 4, True)
+    @pytest.fixture(scope="class")
+    def traces(self):
+        return build_workload_traces("mom", scale=2e-5)
+
+    @staticmethod
+    def order(
+        traces,
+        policy,
+        rotation=0,
+        inflight_insts=(5, 1, 9, 3),
+        inflight_ops=(5, 30, 9, 3),
+        fetched_vector_last=(True, False, True, False),
+        simd_occupancy=1,
+    ):
+        processor = SMTProcessor(
+            SMTConfig(isa="mom", n_threads=4),
+            PerfectMemory(),
+            traces,
+            fetch_policy=policy,
+        )
+        for ctx, insts, ops, vector in zip(
+            processor.threads, inflight_insts, inflight_ops, fetched_vector_last
+        ):
+            ctx.inflight_insts = insts
+            ctx.inflight_ops = ops
+            ctx.fetched_vector_last = vector
+        processor.queues[Queue.SIMD].occupancy = simd_occupancy
+        processor._rotation = rotation
+        return list(processor._fetch_order())
+
+    def test_rr_rotates(self, traces):
+        order = self.order(
+            traces, FetchPolicy.RR, rotation=2, inflight_insts=[0] * 4,
+            inflight_ops=[0] * 4, fetched_vector_last=[False] * 4,
+            simd_occupancy=0,
+        )
         assert order == [2, 3, 0, 1]
 
-    def test_icount_prefers_emptiest(self):
-        order = order_threads(FetchPolicy.ICOUNT, **self.kwargs)
+    def test_icount_prefers_emptiest(self, traces):
+        order = self.order(traces, FetchPolicy.ICOUNT)
         assert order[0] == 1 and order[-1] == 2
 
-    def test_ocount_counts_operations(self):
+    def test_ocount_counts_operations(self, traces):
         # Thread 1 has few instructions but many operations (long streams).
-        order = order_threads(FetchPolicy.OCOUNT, **self.kwargs)
+        order = self.order(traces, FetchPolicy.OCOUNT)
         assert order[0] == 3 and order[-1] == 1
 
-    def test_balance_prefers_nonvector_when_pipe_busy(self):
-        order = order_threads(FetchPolicy.BALANCE, **self.kwargs)
+    def test_balance_prefers_nonvector_when_pipe_busy(self, traces):
+        order = self.order(traces, FetchPolicy.BALANCE)
         assert set(order[:2]) == {1, 3}
 
-    def test_balance_prefers_vector_when_pipe_empty(self):
-        kwargs = dict(self.kwargs, simd_queue_empty=True)
-        order = order_threads(FetchPolicy.BALANCE, **kwargs)
+    def test_balance_prefers_vector_when_pipe_empty(self, traces):
+        order = self.order(traces, FetchPolicy.BALANCE, simd_occupancy=0)
         assert set(order[:2]) == {0, 2}
 
 

@@ -44,11 +44,3 @@ def test_simulation_examples_run(name, capsys):
     out = capsys.readouterr().out
     assert len(out) > 100
 
-
-def test_mom_assembly_example(capsys):
-    module = load_example("mom_assembly")
-    module.main()
-    out = capsys.readouterr().out
-    assert "dot product" in out
-    assert "SAD" in out
-

@@ -28,6 +28,7 @@ from repro.serving.simulator import (
     derive_interarrival,
 )
 from repro.serving.metering import meter_result
+from repro.tracegen.program import build_program_trace
 from repro.workloads.mediabench import build_stream_trace_variants
 from repro.workloads.streams import (
     CODE_BASE_STRIDE,
@@ -396,6 +397,50 @@ def test_smt_and_cmp_shapes_both_serve():
 def test_observe_none_strips_stall_attribution():
     result, __ = _run_scenario(observe=None, n_streams=4)
     assert all(record["stalls"] == {} for record in result["streams"])
+
+
+# ----- the progress watchdog -------------------------------------------------
+
+#: Cycles per watchdog block (``repro.core.smt._WATCHDOG_CYCLES``).
+WATCHDOG_BLOCK = 1 << 20
+
+
+def _one_stream(arch, isa, arrival):
+    trace = build_program_trace("gsmdec", isa, scale=SCALE)
+    machine, scheduler = build_serving_machine(
+        arch, isa, 1, 1, "conventional", [trace]
+    )
+    stream = StreamDescriptor(
+        0, "gsmdec", arrival, STREAM_DEADLINE_SLACK["gsmdec"]
+    )
+    simulator = ServingSimulator(
+        machine, scheduler, AdmissionController(1, 1), [stream], {0: trace}
+    )
+    return machine, simulator
+
+
+@pytest.mark.parametrize("arch,isa", [("smt", "mmx"), ("cmp", "mom")])
+def test_stream_arriving_just_before_a_watchdog_block_completes(arch, isa):
+    # The watchdog samples its progress mark on the first cycle of each
+    # block.  A stream arriving on an idle machine 3 cycles before a
+    # block boundary is sampled twice a few cycles apart, while its
+    # first fetch still waits on the I-cache: no livelock.
+    __, simulator = _one_stream(arch, isa, WATCHDOG_BLOCK - 3)
+    result = simulator.run()
+    assert [record["stream"] for record in result["streams"]] == [0]
+    assert result["streams"][0]["committed"] > 0
+
+
+@pytest.mark.parametrize("arch,isa", [("smt", "mmx"), ("cmp", "mom")])
+def test_frozen_serving_machine_fails_fast(arch, isa):
+    # Every fetch misses for 10,000 cycles, so the stream never makes
+    # progress; the watchdog must raise long before max_cycles.
+    machine, simulator = _one_stream(arch, isa, 1)
+    for core in machine.cores:
+        core.memory.fetch = lambda thread, pc, now: now + 10_000
+    with pytest.raises(RuntimeError, match="no progress between cycles"):
+        simulator.run()
+    assert machine.now < 4 * WATCHDOG_BLOCK
 
 
 _HASHSEED_CHILD = """
