@@ -546,19 +546,19 @@ def run_stall_breakdown(
 ) -> ExperimentResult:
     """Per-thread stall-cause attribution at the headline 8-thread point.
 
-    Re-runs the figure 5 round-robin configuration once per ISA with the
-    metrics-only observer (:mod:`repro.obs`) attached and breaks fetch
-    and dispatch stalls down by cause and hardware context — the "where
-    did the slots go" companion to the EIPC tables.  Observability never
-    perturbs timing (``tests/test_obs_bitident.py`` proves bit-identity)
-    but observed results deliberately bypass the run cache, so the
-    companion runs are served through the runner's derived-artifact
-    cache instead: one execution per code version, and cached
-    re-invocations format byte-identical tables (a warm rerun's report
-    must match the cold run's).
+    Re-runs the figure 5 round-robin configuration once per ISA with a
+    stall counter (``observe="stalls"``, :mod:`repro.obs`) attached and
+    breaks fetch and dispatch stalls down by cause and hardware context
+    — the "where did the slots go" companion to the EIPC tables.
+    Observability never perturbs timing (``tests/test_obs_bitident.py``
+    proves bit-identity) but observed results deliberately bypass the
+    run cache, so the companion runs are served through the runner's
+    derived-artifact cache instead: one execution per code version, and
+    cached re-invocations format byte-identical tables (a warm rerun's
+    report must match the cold run's).
 
     Always runs full detail regardless of sweep sampling: SMARTS
-    fast-forward emits no observer events, so a sampled breakdown would
+    fast-forward counts no stalls, so a sampled breakdown would
     cover the measurement windows only while claiming whole-run totals.
     """
     runner = runner or Runner()
@@ -566,15 +566,13 @@ def run_stall_breakdown(
     def compute() -> dict:
         from repro.core.params import SMTConfig
         from repro.core.smt import SMTProcessor
-        from repro.obs import PipelineObserver
 
         from repro.analysis.runner import memory_factory
 
         breakdown = {}
         for isa in ISAS:
-            observer = PipelineObserver(events=False)
             processor = SMTProcessor(
-                SMTConfig(isa=isa, n_threads=n_threads, observe=observer),
+                SMTConfig(isa=isa, n_threads=n_threads, observe="stalls"),
                 memory_factory("conventional")(),
                 runner.workload(isa, scale, 0),
                 fetch_policy=FetchPolicy.RR,
@@ -583,7 +581,7 @@ def run_stall_breakdown(
             breakdown[isa] = {
                 "cycles": result.cycles,
                 "eipc": result.eipc,
-                "stalls": observer.stall_breakdown(),
+                "stalls": processor.stall_observer.stall_breakdown(),
             }
         return breakdown
 

@@ -25,7 +25,7 @@ import dataclasses
 from repro.core.fetch import FetchPolicy
 from repro.core.metrics import RunResult
 from repro.core.params import Resources, SMTConfig
-from repro.core.smt import SMTProcessor
+from repro.core.smt import ProgressWatchdog, SMTProcessor
 from repro.isa.registers import RegisterClass
 from repro.memory.cache import CacheConfig, L2Cache
 from repro.memory.decoupled import DecoupledHierarchy
@@ -135,14 +135,14 @@ class CmpSystem:
                 f"unknown CMP memory kind {memory!r}; "
                 f"expected one of {CMP_MEMORY_KINDS}"
             )
-        if observe not in (None, False, True, "metrics"):
+        if observe not in (None, False, True, "metrics", "stalls"):
             # A ready observer instance would be shared by every core and
             # its per-thread records would collide across cores.  Each
             # core builds its own from the spec instead.
             raise ValueError(
                 "CmpSystem accepts only observer *specs* "
-                "(None/False/True/'metrics'): each core builds a private "
-                "observer; per-core snapshots are merged under "
+                "(None/False/True/'metrics'/'stalls'): each core builds a "
+                "private observer; per-core snapshots are merged under "
                 "result.observability['cores']"
             )
         self.n_cores = n_cores
@@ -185,6 +185,8 @@ class CmpSystem:
         self._warmup_commits = int(warmup_fraction * expected_total)
         self._warm = self._warmup_commits == 0
         self._base = (0, 0, 0.0)
+        # Checked on the idle-skip branch only, so busy cycles pay nothing.
+        self._watchdog = ProgressWatchdog()
         self.now = 0
 
     def _total_committed(self) -> tuple[int, float]:
@@ -234,7 +236,7 @@ class CmpSystem:
         """Merged per-core observer snapshots (None when unobserved)."""
         snapshots = []
         for core in self.cores:
-            observer = core.observer
+            observer = core.stall_observer
             if observer is not None:
                 snapshots.append(observer.snapshot())
         if not snapshots:
@@ -253,6 +255,7 @@ class CmpSystem:
                     for core in self.cores:
                         core.memory.reset_stats()
             if not worked:
+                self._watchdog.check(self.now, self.cores)
                 target = self.idle_skip_target()
                 if target is not None:
                     self.now = max(self.now, target)

@@ -126,16 +126,18 @@ class SMTConfig:
     #: event collection — every hook is a single attribute test, the
     #: same zero-overhead contract as ``sanitize``.  ``True`` records
     #: the full pipeline event stream, ``"metrics"`` keeps only the
-    #: metrics registry, or pass a ready
+    #: metrics registry, ``"stalls"`` counts only the stall causes
+    #: (:class:`~repro.obs.events.StallObserver`; no stage or memory
+    #: hook runs), or pass a ready
     #: :class:`~repro.obs.events.PipelineObserver`.
     observe: object = None
 
     def __post_init__(self):
-        if self.observe not in (None, True, False, "metrics") and not hasattr(
-            self.observe, "on_fetch"
-        ):
+        if self.observe not in (
+            None, True, False, "metrics", "stalls"
+        ) and not hasattr(self.observe, "on_fetch"):
             raise ValueError(
-                "observe must be None, True, 'metrics', or a "
+                "observe must be None, True, 'metrics', 'stalls', or a "
                 f"PipelineObserver-like object, not {self.observe!r}"
             )
         if self.isa not in ("mmx", "mom"):

@@ -369,15 +369,21 @@ class SMTProcessor:
             for queue in self.queues.values():
                 queue.sanitizer = self.sanitizer
             memory.attach_sanitizer(self.sanitizer)
+        # ``observer`` takes the per-event hooks (stages, window, memory);
+        # ``stall_observer`` counts stall causes.  A full observer is
+        # both; ``observe="stalls"`` attaches a stall counter alone.
         self.observer = None
+        self.stall_observer = None
         if config.observe is not None and config.observe is not False:
             # Imported lazily, like the sanitizer: the core only depends
             # on the observability layer when observation is requested.
             from repro.obs.events import resolve_observer
 
-            self.observer = resolve_observer(config.observe)
-            self.window.observer = self.observer
-            memory.attach_observer(self.observer)
+            self.stall_observer = resolve_observer(config.observe)
+            if config.observe != "stalls":
+                self.observer = self.stall_observer
+                self.window.observer = self.observer
+                memory.attach_observer(self.observer)
         self.pools = dict(config.resources.rename_regs)
         self.threads = [ThreadContext(i) for i in range(config.n_threads)]
         for slot, assignment in zip(
@@ -485,6 +491,7 @@ class SMTProcessor:
         fifos = window._fifos
         win_sanitizer = window.sanitizer
         observer = self.observer
+        stall_observer = self.stall_observer
         pools = self.pools
         scheduler = self.scheduler
         predictor = self.predictor
@@ -689,8 +696,8 @@ class SMTProcessor:
                 inst, mispredicted = decode[0]
                 queue = queue_of_op[inst.op]
                 if queue.occupancy >= queue.capacity or win_occ >= win_cap:
-                    if observer is not None:
-                        observer.stall(
+                    if stall_observer is not None:
+                        stall_observer.stall(
                             "dispatch_queue_full"
                             if queue.occupancy >= queue.capacity
                             else "dispatch_window_full",
@@ -699,8 +706,8 @@ class SMTProcessor:
                     continue
                 dst = inst.dst
                 if dst != NO_REG and pools[dst >> _CLASS_SHIFT] <= 0:
-                    if observer is not None:
-                        observer.stall("dispatch_pool_empty", thread)
+                    if stall_observer is not None:
+                        stall_observer.stall("dispatch_pool_empty", thread)
                     continue
                 decode.popleft()
                 # InFlight construction, spelled out (the constructor is
@@ -761,7 +768,7 @@ class SMTProcessor:
             order = self._fetch_order()
         for thread in order:
             if groups == fetch_groups:
-                if observer is None:
+                if stall_observer is None:
                     break
                 # Stall attribution: remaining threads with fetchable
                 # work lost this cycle's fetch-group arbitration.
@@ -773,7 +780,7 @@ class SMTProcessor:
                     and ctx.fetch_stall_until <= now
                     and len(ctx.decode) <= decode_room
                 ):
-                    observer.stall("fetch_no_slot", thread)
+                    stall_observer.stall("fetch_no_slot", thread)
                 continue
             ctx = threads[thread]
             idx = ctx.fetch_idx
@@ -783,18 +790,18 @@ class SMTProcessor:
                 # Wrong-path fetch: the front end does not know the branch
                 # mispredicted, so the thread keeps consuming fetch slots
                 # on instructions that will be squashed.
-                if observer is not None:
-                    observer.stall("fetch_blocked_branch", thread)
+                if stall_observer is not None:
+                    stall_observer.stall("fetch_blocked_branch", thread)
                 groups += 1
                 continue
             decode = ctx.decode
             if ctx.fetch_stall_until > now:
-                if observer is not None:
-                    observer.stall("fetch_icache", thread)
+                if stall_observer is not None:
+                    stall_observer.stall("fetch_icache", thread)
                 continue
             if len(decode) > decode_room:
-                if observer is not None:
-                    observer.stall("fetch_decode_full", thread)
+                if stall_observer is not None:
+                    stall_observer.stall("fetch_decode_full", thread)
                 continue
             groups += 1
             instructions = ctx.trace.instructions
@@ -807,8 +814,8 @@ class SMTProcessor:
                 # place — re-attempting them would itself occupy the bank
                 # and can livelock two threads against each other.
                 ctx.fetch_stall_until = ready
-                if observer is not None:
-                    observer.stall("fetch_icache", thread)
+                if stall_observer is not None:
+                    stall_observer.stall("fetch_icache", thread)
                 continue
             took_vector = False
             group_line = pc >> 5
@@ -916,8 +923,8 @@ class SMTProcessor:
             sampling=sampling,
             samples=samples,
             observability=(
-                self.observer.snapshot()
-                if self.observer is not None
+                self.stall_observer.snapshot()
+                if self.stall_observer is not None
                 else None
             ),
         )

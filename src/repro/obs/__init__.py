@@ -4,8 +4,11 @@ Request observation per run with ``SMTConfig(observe=...)``:
 
 * ``observe=True`` — full :class:`~repro.obs.events.PipelineObserver`
   (per-instruction lifetime records + memory events + metrics);
-* ``observe="metrics"`` — metrics registry only (what the stall-cause
-  breakdown sweeps use; no per-instruction storage);
+* ``observe="metrics"`` — metrics registry only (no per-instruction
+  storage);
+* ``observe="stalls"`` — a :class:`~repro.obs.events.StallObserver`:
+  the ``smt.stall`` counters and no other hook (what serving and the
+  stall-cause breakdown use);
 * ``observe=<PipelineObserver>`` — bring your own (e.g. with custom
   bounds), then inspect ``observer.records`` after the run;
 * ``observe=None`` (default) — disabled.  Every hook in the simulator
@@ -23,6 +26,7 @@ from repro.obs.events import (
     InstRecord,
     ObservabilityError,
     PipelineObserver,
+    StallObserver,
     resolve_observer,
     validate_records,
 )
@@ -45,6 +49,7 @@ __all__ = [
     "ObservabilityError",
     "PhaseProfiler",
     "PipelineObserver",
+    "StallObserver",
     "chrome_trace",
     "parse_ascii",
     "render_ascii",

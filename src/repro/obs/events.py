@@ -30,6 +30,11 @@ Event model
   counters/histograms per component per thread, including the
   ``smt.stall`` stall-cause breakdown the experiment reports surface.
 
+The stall counters alone are a :class:`StallObserver`, the base class of
+:class:`PipelineObserver`.  With ``observe="stalls"`` the core attaches
+only that: no stage or memory hook runs, so serving and the stall-cause
+breakdown pay for the counters they read and nothing else.
+
 Both event lists are bounded (``max_records`` / ``max_events``); past
 the cap the metrics keep counting and the drop counts are reported, so
 long runs stay observable without unbounded memory.
@@ -153,15 +158,51 @@ class InstRecord:
         return f"<InstRecord #{self.uid} t{self.thread} {stages}>"
 
 
-class PipelineObserver:
+class StallObserver:
+    """Counts stalled fetch/dispatch opportunities by cause and thread.
+
+    The core calls only :meth:`stall`; nothing else is hooked, so a run
+    observed with ``observe="stalls"`` pays one call per stalled slot and
+    no per-instruction or per-memory-transaction cost.  The counters live
+    under ``smt.stall`` of :attr:`registry`.
+    """
+
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
+        self._stall = {
+            cause: self.registry.counter("smt.stall", cause)
+            for cause in STALL_CAUSES
+        }
+
+    def stall(self, cause: str, thread: int, n: int = 1) -> None:
+        """Attribute a stalled fetch/dispatch opportunity to a cause."""
+        self._stall[cause].add(thread, n)
+
+    def stall_breakdown(self) -> dict:
+        """Per-thread stall-cause counts: ``{cause: [per-thread], ...}``."""
+        breakdown = {}
+        for cause in STALL_CAUSES:
+            counter = self._stall[cause]
+            if counter.total:
+                breakdown[cause] = {
+                    "total": counter.total,
+                    "per_thread": list(counter.per_thread),
+                }
+        return breakdown
+
+    def snapshot(self) -> dict:
+        """JSON-safe provenance: the metrics tree (``smt.stall`` only)."""
+        return {"metrics": self.registry.to_dict()}
+
+
+class PipelineObserver(StallObserver):
     """Collects the event stream and metrics of one simulated core.
 
     Parameters
     ----------
     events:
         Record per-instruction lifetimes and memory events.  ``False``
-        keeps only the metrics registry (cheaper; what the stall-cause
-        breakdown sweeps use).
+        keeps only the metrics registry.
     max_records / max_events:
         Bounds on the two event lists; past them the drop counters
         advance and metrics keep counting.
@@ -173,10 +214,10 @@ class PipelineObserver:
         max_records: int = 1_000_000,
         max_events: int = 1_000_000,
     ):
+        super().__init__()
         self.events = events
         self.max_records = max_records
         self.max_events = max_events
-        self.registry = MetricsRegistry()
         self.records: list[InstRecord] = []
         self.mem_events: list[tuple] = []
         self.dropped_records = 0
@@ -190,10 +231,6 @@ class PipelineObserver:
         self._by_entry: dict[int, InstRecord] = {}
         self._next_uid = 0
         registry = self.registry
-        self._stall = {
-            cause: registry.counter("smt.stall", cause)
-            for cause in STALL_CAUSES
-        }
         self._fetched = registry.counter("smt.fetch", "instructions")
         self._dispatched = registry.counter("smt.dispatch", "instructions")
         self._issued = registry.counter("smt.issue", "instructions")
@@ -298,10 +335,6 @@ class PipelineObserver:
             if record is not None:
                 record.squash = now
 
-    def stall(self, cause: str, thread: int, n: int = 1) -> None:
-        """Attribute a stalled fetch/dispatch opportunity to a cause."""
-        self._stall[cause].add(thread, n)
-
     # ----- memory events (called by the hierarchies) ------------------------
 
     def _mem_counter(self, component: str, kind: str):
@@ -361,18 +394,6 @@ class PipelineObserver:
 
     # ----- output -----------------------------------------------------------
 
-    def stall_breakdown(self) -> dict:
-        """Per-thread stall-cause counts: ``{cause: [per-thread], ...}``."""
-        breakdown = {}
-        for cause in STALL_CAUSES:
-            counter = self._stall[cause]
-            if counter.total:
-                breakdown[cause] = {
-                    "total": counter.total,
-                    "per_thread": list(counter.per_thread),
-                }
-        return breakdown
-
     def snapshot(self) -> dict:
         """JSON-safe provenance for :attr:`RunResult.observability`.
 
@@ -389,13 +410,15 @@ class PipelineObserver:
         }
 
 
-def resolve_observer(observe) -> PipelineObserver | None:
+def resolve_observer(observe) -> StallObserver | None:
     """Normalize the ``SMTConfig.observe`` field into an observer.
 
     ``None``/``False`` disable observation; ``True`` builds a full
     observer; ``"metrics"`` builds a metrics-only observer (no event
-    lists — what sweeps use); a ready :class:`PipelineObserver` (or any
-    duck-typed equivalent) passes through.
+    lists); ``"stalls"`` builds a :class:`StallObserver` (stall counters
+    only — what serving and the stall-cause breakdown use); a ready
+    :class:`PipelineObserver` (or any duck-typed equivalent) passes
+    through.
     """
     if observe is None or observe is False:
         return None
@@ -403,6 +426,8 @@ def resolve_observer(observe) -> PipelineObserver | None:
         return PipelineObserver()
     if observe == "metrics":
         return PipelineObserver(events=False)
+    if observe == "stalls":
+        return StallObserver()
     return observe
 
 

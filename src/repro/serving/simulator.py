@@ -83,12 +83,6 @@ class _SmtMachine:
     def finalize(self) -> None:
         self.cores[0]._finalize_sanitizer()
 
-    def observability(self) -> dict | None:
-        observer = self.cores[0].observer
-        if observer is None:
-            return None
-        return {"cores": [observer.snapshot()]}
-
 
 def build_serving_machine(
     arch: str,
@@ -98,13 +92,15 @@ def build_serving_machine(
     memory: str,
     traces: list[Trace],
     max_cycles: int = 50_000_000,
-    observe="metrics",
+    observe="stalls",
 ):
     """Build a lockstep machine plus its stream scheduler.
 
     ``arch`` is ``"smt"`` (one paper-width SMT, ``cores`` must be 1) or
     ``"cmp"`` (``cores`` scaled-down cores × ``contexts`` SMT contexts
-    over a shared L2).  Returns ``(machine, scheduler)``.
+    over a shared L2).  ``observe`` is the cores' ``SMTConfig.observe``
+    spec; the default counts stall causes only, which is all the stream
+    records read.  Returns ``(machine, scheduler)``.
     """
     if arch not in ("smt", "cmp"):
         raise ValueError(f"unknown serving arch {arch!r}")
@@ -174,7 +170,7 @@ def derive_interarrival(
 def _stall_counts(core, context: int) -> dict:
     """Context's per-cause stall counters (insertion order is the fixed
     STALL_CAUSES order, so downstream JSON is deterministic)."""
-    observer = core.observer
+    observer = core.stall_observer
     if observer is None:
         return {}
     counts = {}

@@ -99,6 +99,19 @@ class TestCmpSystem:
         with pytest.raises(ValueError):
             CmpSystem("mmx", 0, traces)
 
+    def test_frozen_system_fails_fast(self):
+        # Every fetch misses for 10,000 cycles, so nothing ever commits.
+        # The progress watchdog must raise long before max_cycles.
+        system = CmpSystem(
+            "mmx", 2, build_workload_traces("mmx", scale=2e-5),
+            max_cycles=64 << 20,
+        )
+        for core in system.cores:
+            core.memory.fetch = lambda thread, pc, now: now + 10_000
+        with pytest.raises(RuntimeError, match="livelock"):
+            system.run()
+        assert system.now < 4 << 20
+
     def test_deterministic(self):
         results = [
             CmpSystem("mom", 2, build_workload_traces("mom", scale=SCALE)).run()
@@ -237,6 +250,22 @@ class TestSanitizeAndObserve:
         for snapshot in snapshots:
             assert isinstance(snapshot["metrics"], dict)
             assert snapshot["metrics"], "metrics-mode snapshots carry data"
+
+    def test_observe_stalls_gives_each_core_its_own_counter(self):
+        from repro.obs.events import StallObserver
+
+        system = CmpSystem(
+            "mmx", 2, build_workload_traces("mmx", scale=SCALE),
+            observe="stalls",
+        )
+        observers = [core.stall_observer for core in system.cores]
+        assert all(type(obs) is StallObserver for obs in observers)
+        assert observers[0] is not observers[1]
+        assert all(core.observer is None for core in system.cores)
+        snapshots = system.run().observability["cores"]
+        assert [list(snap["metrics"]) for snap in snapshots] == [
+            ["smt.stall"], ["smt.stall"]
+        ]
 
     def test_unobserved_run_reports_no_observability(self):
         result = CmpSystem(

@@ -1,7 +1,5 @@
 """Targeted tests of SMT pipeline corner behaviours."""
 
-import pytest
-
 from repro.core import FetchPolicy, SMTConfig, SMTProcessor
 from repro.core.params import Resources, scaled_resources
 from repro.isa.registers import RegisterClass

@@ -17,6 +17,7 @@ from repro.obs import (
     MetricsRegistry,
     PhaseProfiler,
     PipelineObserver,
+    StallObserver,
     chrome_trace,
     parse_ascii,
     render_ascii,
@@ -98,6 +99,30 @@ def test_metrics_only_mode_skips_event_lists():
     assert snap["metrics"]["smt.commit"]["instructions"]["total"] > 0
     # Per-thread stall attribution still collected.
     assert "smt.stall" in snap["metrics"]
+
+
+@pytest.mark.parametrize("isa", ["mmx", "mom"])
+def test_stall_counter_matches_the_metrics_observer(isa):
+    processor, counted = run_observed(isa, 8, observe="stalls")
+    observer = PipelineObserver(events=False)
+    __, observed = run_observed(isa, 8, observe=observer)
+    assert counted.cycles == observed.cycles
+    assert counted.committed_instructions == observed.committed_instructions
+    breakdown = processor.stall_observer.stall_breakdown()
+    assert breakdown, "an 8T run at this scale must stall somewhere"
+    assert breakdown == observer.stall_breakdown()
+
+
+def test_stall_counter_attaches_no_event_hook():
+    processor, result = run_observed(observe="stalls")
+    assert type(processor.stall_observer) is StallObserver
+    assert processor.observer is None
+    assert processor.window.observer is None
+    assert processor.memory.observer is None
+    assert processor.memory.l2.observer is None
+    assert processor.memory.l1.mshr.observer is None
+    assert processor.memory.l1.write_buffer.observer is None
+    assert list(result.observability["metrics"]) == ["smt.stall"]
 
 
 def test_records_cover_the_run_and_validate():

@@ -279,7 +279,7 @@ def _run_scenario(
     memory="conventional",
     seed=0,
     load=0.85,
-    observe="metrics",
+    observe="stalls",
 ):
     schedule_seed = seed
     variants_needed: dict[str, int] = {}
@@ -392,6 +392,22 @@ def test_smt_and_cmp_shapes_both_serve():
         assert result["summary"]["eipc"] > 0
     assert smt["memory"]["icache_hit_rate"] > 0.5
     assert cmp_result["admission"]["admitted"] == 8
+
+
+@pytest.mark.parametrize("isa", ["mmx", "mom"])
+@pytest.mark.parametrize("memory", ["conventional", "decoupled"])
+@pytest.mark.parametrize("arch,cores,contexts", [("smt", 1, 4), ("cmp", 2, 2)])
+def test_stall_counter_meters_like_the_metrics_observer(
+    arch, cores, contexts, memory, isa
+):
+    # Serving observes with a bare stall counter; its stream records,
+    # per-stream stalls included, must match the full metrics observer's.
+    shape = dict(isa=isa, arch=arch, cores=cores, contexts=contexts,
+                 memory=memory)
+    stalls, __ = _run_scenario(observe="stalls", **shape)
+    metrics, __ = _run_scenario(observe="metrics", **shape)
+    assert any(record["stalls"] for record in stalls["streams"])
+    assert json.dumps(stalls) == json.dumps(metrics)
 
 
 def test_observe_none_strips_stall_attribution():

@@ -5,7 +5,6 @@ import gc
 import pytest
 
 import repro.workloads.mediabench as mediabench
-from repro.tracegen import build_program_trace
 from repro.workloads import (
     MEDIABENCH_PROGRAMS,
     MultiprogramScheduler,
