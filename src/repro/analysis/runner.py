@@ -239,9 +239,6 @@ class ResultStore:
         os.makedirs(path, exist_ok=True)
         return path
 
-    def fingerprint_of(self, request) -> str:
-        return request.fingerprint(self.version)
-
     def path_for(self, fingerprint: str) -> str:
         return os.path.join(self.cache_dir, f"{fingerprint}.json")
 
@@ -330,8 +327,8 @@ def code_version() -> str:
     """Hash of the simulation-relevant source tree.
 
     Part of every run fingerprint: editing the core, the memory models,
-    the ISA tables, the trace generator or the workloads invalidates all
-    cached results, while analysis-layer edits do not.
+    the ISA opcode classes, the trace generator or the workloads
+    invalidates all cached results, while analysis-layer edits do not.
     """
     global _code_version_cache
     if _code_version_cache is None:

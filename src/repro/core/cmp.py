@@ -246,14 +246,20 @@ class CmpSystem:
     def run(self) -> RunResult:
         """Step all cores in lockstep until the completion target."""
         while not self.scheduler.done and self.now < self.max_cycles:
+            cycle = self.now
             worked = self.step_cycle()
             if not self._warm:
                 committed, equiv = self._total_committed()
                 if committed >= self._warmup_commits:
+                    # The base is the cycle that crossed the boundary,
+                    # and the predictor counters restart there, as at a
+                    # standalone core's boundary in SMTProcessor.step.
                     self._warm = True
-                    self._base = (self.now, committed, equiv)
+                    self._base = (cycle, committed, equiv)
                     for core in self.cores:
                         core.memory.reset_stats()
+                        core.predictor.lookups = 0
+                        core.predictor.mispredicts = 0
             if not worked:
                 self._watchdog.check(self.now, self.cores)
                 target = self.idle_skip_target()

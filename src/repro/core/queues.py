@@ -15,11 +15,10 @@ from collections import deque
 class IssueQueue:
     """One issue queue with bounded capacity and a FIFO ready list.
 
-    The SMT core's issue/dispatch stages inline the bookkeeping these
-    methods perform (including the sanitizer hooks) for speed; the
-    methods remain the reference implementation and the API other
-    drivers and the tests use.  ``__slots__`` keeps the per-queue
-    attribute access cheap.
+    The queue is plain state: :meth:`repro.core.smt.SMTProcessor.step`
+    dispatches into it, wakes and issues from it, and calls the
+    sanitizer's ``check_queue`` after each dispatch.  ``__slots__``
+    keeps the per-queue attribute access cheap.
     """
 
     __slots__ = (
@@ -42,37 +41,3 @@ class IssueQueue:
         self.issued_total = 0
         #: Optional :class:`repro.verify.sanitizer.RuntimeSanitizer`.
         self.sanitizer = None
-
-    @property
-    def has_space(self) -> bool:
-        return self.occupancy < self.capacity
-
-    def insert(self, entry) -> None:
-        """Dispatch an instruction into the queue.
-
-        ``entry`` is an ``InFlight`` record; entries with no outstanding
-        sources go straight onto the ready list.
-        """
-        if not self.has_space:
-            raise RuntimeError(f"{self.name} queue overflow")
-        self.occupancy += 1
-        if entry.deps == 0:
-            self.ready.append(entry)
-        if self.sanitizer is not None:
-            self.sanitizer.check_queue(self)
-
-    def wake(self, entry) -> None:
-        """A dependent became ready (called by the completion stage)."""
-        self.ready.append(entry)
-
-    def pop_ready(self):
-        """Oldest ready instruction, or ``None``; frees the queue slot."""
-        while self.ready:
-            entry = self.ready.popleft()
-            if entry.squashed:
-                self.occupancy -= 1
-                continue
-            self.occupancy -= 1
-            self.issued_total += 1
-            return entry
-        return None

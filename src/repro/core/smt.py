@@ -20,11 +20,12 @@ cycle are visible one cycle later:
   thread until resolution (trace-driven squash model).
 
 The stage bodies are written for speed: opcode metadata is read from
-flat tuples indexed by the integer opcode, queue/window bookkeeping is
-inlined (with the sanitizer hooks preserved as single ``is not None``
-tests), and per-cycle structures are preallocated.  Semantics are
-bit-identical to the straightforward formulation — the experiment
-runner's cache fingerprints rely on that.
+flat tuples indexed by the integer opcode, the issue queues and the
+graduation window are plain state that the stages update in place (the
+sanitizer hooks cost a single ``is not None`` test each), and per-cycle
+structures are preallocated.  Semantics are bit-identical to the
+straightforward formulation — the experiment runner's cache
+fingerprints rely on that.
 """
 
 from __future__ import annotations
@@ -236,7 +237,6 @@ class InFlight:
         "deps",
         "dependents",
         "mispredicted",
-        "squashed",
         "queue",
     )
 
@@ -249,7 +249,6 @@ class InFlight:
         #: so the list is only created when a dependent first registers.
         self.dependents: list[InFlight] | None = None
         self.mispredicted = mispredicted
-        self.squashed = False
         #: The IssueQueue this entry dispatched into (set at dispatch);
         #: lets the completion stage wake dependents without re-deriving
         #: the queue from the opcode.
@@ -369,7 +368,7 @@ class SMTProcessor:
             for queue in self.queues.values():
                 queue.sanitizer = self.sanitizer
             memory.attach_sanitizer(self.sanitizer)
-        # ``observer`` takes the per-event hooks (stages, window, memory);
+        # ``observer`` takes the per-event hooks (stages, memory);
         # ``stall_observer`` counts stall causes.  A full observer is
         # both; ``observe="stalls"`` attaches a stall counter alone.
         self.observer = None
@@ -382,7 +381,6 @@ class SMTProcessor:
             self.stall_observer = resolve_observer(config.observe)
             if config.observe != "stalls":
                 self.observer = self.stall_observer
-                self.window.observer = self.observer
                 memory.attach_observer(self.observer)
         self.pools = dict(config.resources.rename_regs)
         self.threads = [ThreadContext(i) for i in range(config.n_threads)]
@@ -510,7 +508,7 @@ class SMTProcessor:
                 if dependents is not None:
                     for dependent in dependents:
                         dependent.deps -= 1
-                        if dependent.deps == 0 and not dependent.squashed:
+                        if dependent.deps == 0:
                             dependent.queue.ready.append(dependent)
                     entry.dependents = None
                 if entry.mispredicted:
@@ -622,8 +620,6 @@ class SMTProcessor:
             while taken < width and ready:
                 entry = ready.popleft()
                 q_occ -= 1
-                if entry.squashed:
-                    continue
                 q_issued += 1
                 taken += 1
                 ctx = threads[entry.thread]
@@ -718,7 +714,6 @@ class SMTProcessor:
                 entry.state = _STATE_WAITING
                 entry.dependents = None
                 entry.mispredicted = mispredicted
-                entry.squashed = False
                 entry.queue = queue
                 rename = ctx.rename
                 deps = 0
@@ -789,7 +784,7 @@ class SMTProcessor:
             if ctx.fetch_blocked:
                 # Wrong-path fetch: the front end does not know the branch
                 # mispredicted, so the thread keeps consuming fetch slots
-                # on instructions that will be squashed.
+                # on wrong-path instructions, which the trace does not hold.
                 if stall_observer is not None:
                     stall_observer.stall("fetch_blocked_branch", thread)
                 groups += 1

@@ -14,10 +14,6 @@ timing needs: :mod:`repro.isa.opcodes` holds the opcode classes with
 their issue queues, functional units and latencies,
 :mod:`repro.isa.registers` the logical register classes, and
 :mod:`repro.isa.instruction` the decoded instruction record every trace
-is made of.
-
-The rest of the package is a reference model that no simulation
-imports: the mnemonic tables (:mod:`repro.isa.mmx`, :mod:`repro.isa.mom`)
-and packed sub-word semantics (:mod:`repro.isa.datatypes`,
-:mod:`repro.isa.semantics`).
+is made of.  Individual mnemonics and their packed sub-word semantics
+are not modelled: no trace is built from them.
 """

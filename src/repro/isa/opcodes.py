@@ -1,12 +1,10 @@
 """Opcode classes, functional-unit classes and latencies.
 
-The simulator does not interpret full mnemonic semantics cycle by cycle;
+The simulator does not interpret mnemonic semantics cycle by cycle;
 like most trace-driven microarchitecture models it classifies every dynamic
 instruction into an *opcode class* that determines which issue queue it
 dispatches to, which functional unit executes it and with what latency.
-The full mnemonic-level ISA tables (67 MMX opcodes, 121 MOM opcodes) live
-in :mod:`repro.isa.mmx` and :mod:`repro.isa.mom` and map down onto these
-classes.
+The paper's 67 MMX and 121 MOM opcodes all fall into these classes.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ and the hot-loop guard enforce.
 
 Like the runtime sanitizer, the observer is duck-typed: it imports
 nothing from :mod:`repro.core` or :mod:`repro.memory`, so those packages
-hook it without import cycles, and the two layers share the same
-attachment points (``window.observer``, ``queue``-side entries, the
-memory walker — see :meth:`repro.memory.interface.MemorySystem.attach_observer`).
+hook it without import cycles.  The core calls its stage hooks from
+``SMTProcessor.step``; the memory hierarchy attaches it to its
+components (:meth:`repro.memory.interface.MemorySystem.attach_observer`).
 
 Event model
 -----------
@@ -20,9 +20,9 @@ Event model
 * **Per-instruction lifetime records** (:class:`InstRecord`): one record
   per fetched instruction carrying the cycle of each stage —
   ``fetch <= dispatch <= issue <= complete <= commit`` (strict except
-  complete/commit, which the fused step can perform in one cycle).  A
-  squashed instruction records its squash cycle and never receives
-  further stage events.
+  complete/commit, which the fused step can perform in one cycle).
+  Nothing is squashed: the trace holds only the correct path, so every
+  record either commits or is still in flight when the run ends.
 * **Memory events**: ``(cycle, component, kind, thread, latency, hit)``
   tuples from the hierarchy hot paths (``thread == -1`` when the
   component does not know the requesting context, e.g. the L2 banks).
@@ -112,7 +112,6 @@ class InstRecord:
         "issue",
         "complete",
         "commit",
-        "squash",
     )
 
     def __init__(
@@ -136,11 +135,6 @@ class InstRecord:
         self.issue: int | None = None
         self.complete: int | None = None
         self.commit: int | None = None
-        self.squash: int | None = None
-
-    @property
-    def squashed(self) -> bool:
-        return self.squash is not None
 
     @property
     def committed(self) -> bool:
@@ -226,8 +220,8 @@ class PipelineObserver(StallObserver):
         #: (``None`` placeholders once ``max_records`` is reached).
         self._pending: list[deque] = []
         #: id(InFlight entry) -> record, for the post-dispatch stages.
-        #: Entries are removed at commit/squash, before the core can
-        #: free them, so a reused ``id()`` can never mis-associate.
+        #: Entries are removed at commit, before the core can free
+        #: them, so a reused ``id()`` can never mis-associate.
         self._by_entry: dict[int, InstRecord] = {}
         self._next_uid = 0
         registry = self.registry
@@ -236,7 +230,6 @@ class PipelineObserver(StallObserver):
         self._issued = registry.counter("smt.issue", "instructions")
         self._completed = registry.counter("smt.complete", "instructions")
         self._committed = registry.counter("smt.commit", "instructions")
-        self._squashed = registry.counter("smt.commit", "squashed")
         self._queue_wait = registry.histogram("smt.issue", "queue_wait")
         self._exec_latency = registry.histogram("smt.issue", "exec_latency")
         self._mem_counters: dict[tuple[str, str], Any] = {}
@@ -298,7 +291,7 @@ class PipelineObserver(StallObserver):
         if not self.events:
             return
         record = self._by_entry.get(id(entry))
-        if record is None or record.squash is not None:
+        if record is None:
             return
         record.issue = now
         if record.dispatch is not None:
@@ -311,7 +304,7 @@ class PipelineObserver(StallObserver):
         if not self.events:
             return
         record = self._by_entry.get(id(entry))
-        if record is None or record.squash is not None:
+        if record is None:
             return
         record.complete = now
 
@@ -321,19 +314,9 @@ class PipelineObserver(StallObserver):
         if not self.events:
             return
         record = self._by_entry.pop(id(entry), None)
-        if record is None or record.squash is not None:
+        if record is None:
             return
         record.commit = now
-
-    def on_squash(self, thread: int, entries, now: int) -> None:
-        """A per-thread flush squashed these window entries."""
-        self._squashed.add(thread, len(entries))
-        if not self.events:
-            return
-        for entry in entries:
-            record = self._by_entry.pop(id(entry), None)
-            if record is not None:
-                record.squash = now
 
     # ----- memory events (called by the hierarchies) ------------------------
 
@@ -471,9 +454,7 @@ def validate_records(records: list[InstRecord]) -> int:
       per instruction (later stages may be unset for in-flight work);
     * a stage is only ever unset if every later stage is unset too;
     * per-thread fetch and commit cycles are monotone in program order
-      (trace-driven front end, per-thread in-order retirement);
-    * a squashed record carries no commit and no stage event after its
-      squash cycle.
+      (trace-driven front end, per-thread in-order retirement).
 
     Returns the number of records checked; raises
     :class:`ObservabilityError` on the first violation.
@@ -500,26 +481,6 @@ def validate_records(records: list[InstRecord]) -> int:
                     {"uid": record.uid, "stage": stage},
                 )
         _check_order(record)
-        if record.squash is not None:
-            if record.commit is not None:
-                raise ObservabilityError(
-                    "events", "OBS-POST-SQUASH",
-                    f"record #{record.uid} committed at cycle "
-                    f"{record.commit} despite being squashed at "
-                    f"{record.squash}",
-                    {"uid": record.uid, "commit": record.commit,
-                     "squash": record.squash},
-                )
-            for stage in ("issue", "complete"):
-                value = getattr(record, stage)
-                if value is not None and value > record.squash:
-                    raise ObservabilityError(
-                        "events", "OBS-POST-SQUASH",
-                        f"record #{record.uid}: {stage} event at cycle "
-                        f"{value} after squash at {record.squash}",
-                        {"uid": record.uid, "stage": stage, "cycle": value,
-                         "squash": record.squash},
-                    )
         previous = last_fetch.get(record.thread)
         if previous is not None and record.fetch < previous[1]:
             raise ObservabilityError(

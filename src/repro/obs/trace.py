@@ -21,16 +21,15 @@ ASCII pipeline
 :func:`render_ascii` draws one row per instruction::
 
     # base=1071
-    #12 t3 pc=4198 op=17 sl=8 mp=0 sq=- | F.D.I..XC
+    #12 t3 pc=4198 op=17 sl=8 mp=0 | F.D.I..XC
 
 with ``F``/``D``/``I``/``X``/``C`` marking the fetch, dispatch, issue,
 complete and commit cycles.  The fused pipeline step can complete and
 commit an instruction in the same cycle — the only possible stage
 collision — in which case only ``C`` is drawn and
 :func:`parse_ascii` restores ``complete == commit`` (a commit without a
-completion is impossible).  Squash cycles live in the header (``sq=``),
-so the renderer and parser form an exact round-trip over every legal
-record stream.
+completion is impossible), so the renderer and parser form an exact
+round-trip over every legal record stream.
 """
 
 from __future__ import annotations
@@ -83,11 +82,6 @@ def chrome_trace(
                 "name": name, "cat": "pipeline", "ph": "X",
                 "ts": start, "dur": max(end - start, 0),
                 "args": args, **track,
-            })
-        if record.squash is not None:
-            events.append({
-                "name": "squash", "cat": "pipeline", "ph": "i",
-                "ts": record.squash, "s": "t", "args": args, **track,
             })
     for now, component, kind, thread, latency, hit in mem_events:
         events.append({
@@ -153,7 +147,7 @@ def validate_chrome_trace(document: dict) -> int:
 
 _ROW = re.compile(
     r"^#(?P<uid>\d+) t(?P<thread>\d+) pc=(?P<pc>\d+) op=(?P<op>\d+) "
-    r"sl=(?P<sl>\d+) mp=(?P<mp>[01]) sq=(?P<sq>\d+|-) \| (?P<timeline>.*)$"
+    r"sl=(?P<sl>\d+) mp=(?P<mp>[01]) \| (?P<timeline>.*)$"
 )
 
 _STAGE_LETTER = (
@@ -192,11 +186,10 @@ def render_ascii(records: list[InstRecord], max_width: int = 4096) -> str:
             cells.get(col, "." if first < col < last else " ")
             for col in range(last + 1)
         )
-        squash = record.squash if record.squash is not None else "-"
         lines.append(
             f"#{record.uid} t{record.thread} pc={record.pc} "
             f"op={record.op} sl={record.stream_length} "
-            f"mp={int(record.mispredicted)} sq={squash} | {timeline}"
+            f"mp={int(record.mispredicted)} | {timeline}"
         )
     return "\n".join(lines) + "\n"
 
@@ -242,7 +235,5 @@ def parse_ascii(text: str) -> list[InstRecord]:
         record.commit = stages.get("commit")
         if record.commit is not None and record.complete is None:
             record.complete = record.commit
-        if match["sq"] != "-":
-            record.squash = int(match["sq"])
         records.append(record)
     return records

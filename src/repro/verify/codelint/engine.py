@@ -192,12 +192,6 @@ def lint_error(
     return Diagnostic("codelint", code, message, Severity.ERROR, path, line)
 
 
-def lint_warning(
-    code: str, path: str, line: int | None, message: str
-) -> Diagnostic:
-    return Diagnostic("codelint", code, message, Severity.WARNING, path, line)
-
-
 # ------------------------------------------------------------------ running
 
 

@@ -96,10 +96,6 @@ class RuntimeSanitizer:
             self._retire_seq[thread] = seq
         self.check_window(window)
 
-    def on_window_flush(self, thread: int, entries) -> None:
-        for entry in entries:
-            self._entry_seq.pop(id(entry), None)
-
     def check_window(self, window) -> None:
         self.checks += 1
         actual = sum(len(fifo) for fifo in window._fifos)

@@ -1,5 +1,7 @@
 """Unit tests for the SMT core building blocks."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.branch import GsharePredictor
@@ -7,22 +9,13 @@ from repro.core.cmp import cmp_core_config
 from repro.core.execute import VectorUnit
 from repro.core.fetch import FetchPolicy
 from repro.core.params import Resources, SMTConfig, scaled_resources
-from repro.core.queues import IssueQueue
-from repro.core.rob import GraduationWindow
 from repro.core.smt import SMTProcessor
 from repro.isa.opcodes import Queue
 from repro.isa.registers import RegisterClass
 from repro.memory import PerfectMemory
+from repro.obs import PipelineObserver
 from repro.workloads import build_workload_traces
-
-
-class _Entry:
-    """Minimal stand-in for an InFlight record."""
-
-    def __init__(self, deps=0):
-        self.deps = deps
-        self.squashed = False
-        self.state = 0
+from tests.test_core_smt_details import make_trace, run
 
 
 class TestGshare:
@@ -102,84 +95,200 @@ class TestVectorUnit:
             VectorUnit(lanes=0)
 
 
+def independent_ints(n):
+    def emit(builder):
+        base = builder.alloc_code(1)
+        for __ in range(n):
+            inst = builder.int_op(pc=base)
+            inst.srcs = ()
+    return emit
+
+
+def serial_muls(n):
+    def emit(builder):
+        base = builder.alloc_code(1)
+        previous = builder.int_op(mul=True, pc=base)
+        for __ in range(n - 1):
+            inst = builder.int_op(mul=True, pc=base)
+            inst.srcs = (previous.dst,)
+            previous = inst
+    return emit
+
+
+def step_to_end(traces, config, sample):
+    """Drive ``step()`` cycle by cycle until every trace has completed.
+
+    Returns the processor and ``sample()`` taken after each cycle, so
+    ``log[c]`` is the state at the end of cycle ``c``.
+    """
+    processor = SMTProcessor(
+        config,
+        PerfectMemory(),
+        traces,
+        completions_target=len(traces),
+        warmup_fraction=0.0,
+    )
+    log = []
+    while not processor.scheduler.done:
+        processor.step()
+        log.append(sample(processor))
+        assert len(log) < 10_000, "workload did not complete"
+    return processor, log
+
+
+def int_queue_state(processor):
+    queue = processor.queues[Queue.INT]
+    return queue.occupancy, len(queue.ready)
+
+
 class TestIssueQueue:
+    """The queues are plain state; ``step()`` inserts, wakes and issues."""
+
+    @pytest.fixture(scope="class")
+    def producer_and_dependent(self):
+        def emit(builder):
+            base = builder.alloc_code(1)
+            mul = builder.int_op(mul=True, pc=base)
+            mul.srcs = ()
+            dependent = builder.int_op(pc=base)
+            dependent.srcs = (mul.dst,)
+        observer = PipelineObserver()
+        __, log = step_to_end(
+            [make_trace(emit)],
+            SMTConfig(isa="mmx", observe=observer),
+            int_queue_state,
+        )
+        mul, dependent = observer.records
+        assert mul.complete - mul.issue > 1
+        return mul, dependent, log
+
     def test_ready_entry_pops(self):
-        q = IssueQueue("int", 4)
-        entry = _Entry(deps=0)
-        q.insert(entry)
-        assert q.pop_ready() is entry
-        assert q.occupancy == 0
+        observer = PipelineObserver()
+        processor, log = step_to_end(
+            [make_trace(independent_ints(1))],
+            SMTConfig(isa="mmx", observe=observer),
+            int_queue_state,
+        )
+        (record,) = observer.records
+        # Dispatched with no outstanding source, the entry is ready at
+        # once; it issues the next cycle and frees its slot.
+        assert log[record.dispatch] == (1, 1)
+        assert record.issue == record.dispatch + 1
+        assert log[record.issue] == (0, 0)
+        assert processor.queues[Queue.INT].issued_total == 1
 
-    def test_waiting_entry_not_ready(self):
-        q = IssueQueue("int", 4)
-        q.insert(_Entry(deps=2))
-        assert q.pop_ready() is None
-        assert q.occupancy == 1
+    def test_waiting_entry_not_ready(self, producer_and_dependent):
+        mul, dependent, log = producer_and_dependent
+        # Until the producer completes, the dependent holds its queue
+        # slot off the ready list.
+        assert dependent.dispatch <= mul.issue
+        assert all(
+            log[cycle] == (1, 0) for cycle in range(mul.issue, mul.complete)
+        )
 
-    def test_wake_moves_to_ready(self):
-        q = IssueQueue("int", 4)
-        entry = _Entry(deps=1)
-        q.insert(entry)
-        entry.deps = 0
-        q.wake(entry)
-        assert q.pop_ready() is entry
+    def test_wake_moves_to_ready(self, producer_and_dependent):
+        mul, dependent, log = producer_and_dependent
+        # The completion wakes the dependent onto the ready list, and it
+        # issues in that same cycle.
+        assert dependent.issue == mul.complete
+        assert log[dependent.issue] == (0, 0)
 
     def test_overflow_rejected(self):
-        q = IssueQueue("int", 1)
-        q.insert(_Entry())
-        with pytest.raises(RuntimeError):
-            q.insert(_Entry())
+        # A full queue takes no more entries: dispatch stalls instead
+        # (the sanitizer's ``check_queue`` would flag an overflow).
+        sizes = dict(scaled_resources(1).queue_sizes)
+        sizes["int"] = 2
+        config = SMTConfig(
+            isa="mmx",
+            issue_int=1,
+            resources=replace(scaled_resources(1), queue_sizes=sizes),
+            sanitize=True,
+            observe="stalls",
+        )
+        processor, log = step_to_end(
+            [make_trace(independent_ints(20))],
+            config,
+            lambda processor: processor.queues[Queue.INT].occupancy,
+        )
+        assert max(log) == 2
+        stalls = processor.stall_observer.stall_breakdown()
+        assert stalls["dispatch_queue_full"]["total"] > 0
 
     def test_fifo_order(self):
-        q = IssueQueue("int", 4)
-        first, second = _Entry(), _Entry()
-        q.insert(first)
-        q.insert(second)
-        assert q.pop_ready() is first
-        assert q.pop_ready() is second
-
-    def test_squashed_entries_skipped(self):
-        q = IssueQueue("int", 4)
-        dead, live = _Entry(), _Entry()
-        q.insert(dead)
-        q.insert(live)
-        dead.squashed = True
-        assert q.pop_ready() is live
+        observer = PipelineObserver()
+        processor, __ = run(
+            make_trace(independent_ints(12)),
+            SMTConfig(isa="mmx", issue_int=1, observe=observer),
+        )
+        issues = [record.issue for record in observer.records]
+        # One issue per cycle, in program order.
+        assert issues == sorted(set(issues)) and len(issues) == 12
+        queue = processor.queues[Queue.INT]
+        assert queue.issued_total == 12
+        assert queue.occupancy == 0 and not queue.ready
 
 
 class TestGraduationWindow:
+    """The window is plain state; ``step()`` inserts and retires."""
+
     def test_per_thread_fifo_order(self):
-        w = GraduationWindow(8, 2)
-        a, b = _Entry(), _Entry()
-        w.insert(0, a)
-        w.insert(0, b)
-        assert w.head(0) is a
-        assert w.retire_head(0) is a
-        assert w.head(0) is b
+        def mul_then_ints(builder):
+            serial_muls(2)(builder)
+            independent_ints(6)(builder)
+        observer = PipelineObserver()
+        step_to_end(
+            [
+                make_trace(mul_then_ints, name="held"),
+                make_trace(independent_ints(6), name="free"),
+            ],
+            SMTConfig(isa="mmx", n_threads=2, sanitize=True, observe=observer),
+            lambda processor: None,
+        )
+        held = [r for r in observer.records if r.thread == 0]
+        # Thread 1 is handed a second program once its first completes;
+        # only the first one runs to its end.
+        free = [r for r in observer.records if r.thread == 1][:6]
+        # The held thread's integer ops complete before its multiplies,
+        # yet retire in program order behind them ...
+        assert min(r.complete for r in held[2:]) < held[1].complete
+        commits = [r.commit for r in held]
+        assert commits == sorted(commits)
+        assert min(commits[2:]) >= held[1].commit
+        # ... while the other thread retires past them.
+        assert max(r.commit for r in free) < held[1].commit
 
     def test_shared_capacity(self):
-        w = GraduationWindow(2, 2)
-        w.insert(0, _Entry())
-        w.insert(1, _Entry())
-        assert not w.has_space
-        with pytest.raises(RuntimeError):
-            w.insert(0, _Entry())
-
-    def test_flush_thread_squashes(self):
-        w = GraduationWindow(8, 2)
-        mine, theirs = _Entry(), _Entry()
-        w.insert(0, mine)
-        w.insert(1, theirs)
-        assert w.flush_thread(0) == 1
-        assert mine.squashed and not theirs.squashed
-        assert w.is_empty(0) and not w.is_empty(1)
-        assert w.occupancy == 1
-
-    def test_thread_occupancy(self):
-        w = GraduationWindow(8, 2)
-        w.insert(1, _Entry())
-        assert w.thread_occupancy(1) == 1
-        assert w.thread_occupancy(0) == 0
+        # Two threads in a window of 4: one streams independent integer
+        # ops, the other a serial multiply chain whose entries wait.
+        config = SMTConfig(
+            isa="mmx",
+            n_threads=2,
+            resources=replace(scaled_resources(2), graduation_window=4),
+            sanitize=True,
+            observe="stalls",
+        )
+        traces = [
+            make_trace(independent_ints(40), name="fast"),
+            make_trace(serial_muls(12), name="slow"),
+        ]
+        processor, log = step_to_end(
+            traces,
+            config,
+            lambda processor: (
+                tuple(map(len, processor.window._fifos)),
+                processor.window.occupancy,
+            ),
+        )
+        assert max(occupancy for __, occupancy in log) == 4
+        # The per-thread FIFOs account for the whole occupancy, and the
+        # window is not partitioned: the slow thread's waiting entries
+        # take more than half of it, and both threads are turned away
+        # when it is full.
+        assert all(sum(fifos) == occupancy for fifos, occupancy in log)
+        assert max(fifos[1] for fifos, __ in log) > 2
+        stalls = processor.stall_observer.stall_breakdown()
+        per_thread = stalls["dispatch_window_full"]["per_thread"]
+        assert len(per_thread) == 2 and all(per_thread)
 
 
 class TestFetchPolicies:

@@ -1,12 +1,14 @@
 """Runtime sanitizer: clean end-to-end runs, zero overhead off, injected
 violations caught with structured codes."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import SMTConfig, SMTProcessor
 from repro.core.queues import IssueQueue
 from repro.core.rob import GraduationWindow
-from repro.memory import ConventionalHierarchy, DecoupledHierarchy
+from repro.memory import ConventionalHierarchy, DecoupledHierarchy, PerfectMemory
 from repro.memory.mshr import MshrFile
 from repro.memory.writebuffer import WriteBuffer
 from repro.tracegen import build_program_trace
@@ -68,19 +70,59 @@ def test_sanitizer_off_by_default_and_unhooked():
     assert processor.memory.sanitizer is None
 
 
+def test_step_calls_the_window_and_queue_hooks():
+    # One 1-thread program on perfect memory: every instruction is
+    # dispatched and retired once, and each dispatch checks its queue.
+    trace = build_program_trace("gsmdec", "mmx", scale=SCALE)
+    processor = SMTProcessor(
+        SMTConfig(isa="mmx", sanitize=True),
+        PerfectMemory(),
+        [trace],
+        completions_target=1,
+        warmup_fraction=0.0,
+    )
+    calls = Counter()
+    sanitizer = processor.sanitizer
+    for hook in ("on_window_insert", "on_window_retire", "check_queue"):
+        def counted(*args, hook=hook, real=getattr(sanitizer, hook)):
+            calls[hook] += 1
+            return real(*args)
+        setattr(sanitizer, hook, counted)
+    processor.run()
+    n = len(trace.instructions)
+    # finalize() checks each of the four queues once more.
+    assert calls == {
+        "on_window_insert": n, "on_window_retire": n, "check_queue": n + 4,
+    }
+
+
 # ----- injected violations ---------------------------------------------------
+
+
+def dispatch(window, sanitizer, thread, entry):
+    """Dispatch's window bookkeeping in ``SMTProcessor.step``."""
+    window._fifos[thread].append(entry)
+    window.occupancy += 1
+    sanitizer.on_window_insert(window, thread, entry)
+
+
+def commit_head(window, sanitizer, thread):
+    """Commit's window bookkeeping in ``SMTProcessor.step``."""
+    entry = window._fifos[thread].popleft()
+    window.occupancy -= 1
+    sanitizer.on_window_retire(window, thread, entry)
 
 
 def test_out_of_order_retirement_is_caught():
     window = GraduationWindow(capacity=8, n_threads=1)
-    window.sanitizer = RuntimeSanitizer()
+    sanitizer = RuntimeSanitizer()
     first, second = object(), object()
-    window.insert(0, first)
-    window.insert(0, second)
+    dispatch(window, sanitizer, 0, first)
+    dispatch(window, sanitizer, 0, second)
     window._fifos[0].rotate(1)            # younger entry now at the head
-    window.retire_head(0)
+    commit_head(window, sanitizer, 0)
     with pytest.raises(InvariantViolation) as exc:
-        window.retire_head(0)
+        commit_head(window, sanitizer, 0)
     assert exc.value.code == "SAN-RETIRE-ORDER"
     assert exc.value.details["thread"] == 0
 
@@ -88,8 +130,7 @@ def test_out_of_order_retirement_is_caught():
 def test_window_count_corruption_is_caught():
     window = GraduationWindow(capacity=8, n_threads=1)
     sanitizer = RuntimeSanitizer()
-    window.sanitizer = sanitizer
-    window.insert(0, object())
+    dispatch(window, sanitizer, 0, object())
     window.occupancy = 3                  # counter no longer matches contents
     with pytest.raises(InvariantViolation) as exc:
         sanitizer.check_window(window)

@@ -1,15 +1,8 @@
-"""Tests for the ISA opcode tables, registers and instruction records."""
+"""Tests for the ISA opcode classes, registers and instruction records."""
 
 import pytest
 
 from repro.isa.instruction import Instruction
-from repro.isa.mmx import EXPECTED_MMX_OPCODE_COUNT, MMX_LOGICAL_REGISTERS, MMX_OPCODES
-from repro.isa.mom import (
-    EXPECTED_MOM_OPCODE_COUNT,
-    MOM_ACCUMULATORS,
-    MOM_OPCODES,
-    MOM_STREAM_REGISTERS,
-)
 from repro.isa.opcodes import (
     FP_CLASSES,
     INTEGER_CLASSES,
@@ -30,35 +23,16 @@ from repro.isa.registers import (
     reg_class,
     reg_index,
 )
-from repro.isa.spec import MnemonicSpec, build_table
 
 
 class TestPaperCounts:
-    def test_mmx_has_67_opcodes(self):
-        assert len(MMX_OPCODES) == EXPECTED_MMX_OPCODE_COUNT == 67
-
-    def test_mom_has_121_opcodes(self):
-        assert len(MOM_OPCODES) == EXPECTED_MOM_OPCODE_COUNT == 121
-
     def test_mmx_register_count(self):
-        assert MMX_LOGICAL_REGISTERS == 32
         assert LOGICAL_COUNTS[RegisterClass.MMX] == 32
 
     def test_mom_register_geometry(self):
-        assert MOM_STREAM_REGISTERS == LOGICAL_COUNTS[RegisterClass.STREAM] == 16
+        assert LOGICAL_COUNTS[RegisterClass.STREAM] == 16
         assert MOM_MAX_STREAM_LENGTH == 16
-        assert MOM_ACCUMULATORS == LOGICAL_COUNTS[RegisterClass.ACC] == 2
-
-    def test_all_mmx_specs_map_to_mmx_sim_classes(self):
-        for spec in MMX_OPCODES.values():
-            assert spec.sim_class.name.startswith("MMX"), spec.mnemonic
-
-    def test_all_mom_specs_map_to_mom_sim_classes(self):
-        for spec in MOM_OPCODES.values():
-            assert spec.sim_class.name.startswith("MOM"), spec.mnemonic
-
-    def test_no_mnemonic_collisions_between_isas(self):
-        assert not set(MMX_OPCODES) & set(MOM_OPCODES)
+        assert LOGICAL_COUNTS[RegisterClass.ACC] == 2
 
 
 class TestOpcodeInfo:
@@ -156,17 +130,3 @@ class TestInstruction:
     def test_repr_mentions_opcode(self):
         assert "MOM_LOAD" in repr(Instruction(Opcode.MOM_LOAD, mem_addr=64))
 
-
-class TestSpecTable:
-    def test_duplicate_mnemonic_rejected(self):
-        spec = MnemonicSpec("dup", Opcode.MMX_ALU)
-        with pytest.raises(ValueError):
-            build_table([spec, spec])
-
-    def test_empty_mnemonic_rejected(self):
-        with pytest.raises(ValueError):
-            MnemonicSpec("", Opcode.MMX_ALU)
-
-    def test_source_count_bounds(self):
-        with pytest.raises(ValueError):
-            MnemonicSpec("x", Opcode.MMX_ALU, sources=4)

@@ -112,8 +112,11 @@ def test_observed_result_round_trips_snapshot():
 def test_plain_run_never_imports_the_obs_package():
     # The zero-overhead contract starts at import time: a run without
     # observe= must not even load repro.obs (the lazy import in the
-    # core is the only edge into it).
-    script = (
+    # core is the only edge into it).  Through the runner, repro.verify
+    # loads anyway (analysis/resilience.py imports InvariantViolation);
+    # a processor driven directly loads neither it nor repro.analysis,
+    # and from repro.isa only what traces are made of.
+    through_runner = (
         "import sys\n"
         "from repro.analysis.runner import RunRequest, execute_request\n"
         "execute_request(RunRequest(isa='mmx', n_threads=1,"
@@ -121,14 +124,30 @@ def test_plain_run_never_imports_the_obs_package():
         "assert not any(m.startswith('repro.obs') for m in sys.modules),"
         " sorted(m for m in sys.modules if m.startswith('repro.obs'))\n"
     )
+    direct = (
+        "import sys\n"
+        "from repro.core import SMTConfig, SMTProcessor\n"
+        "from repro.memory import ConventionalHierarchy\n"
+        "from repro.workloads import build_workload_traces\n"
+        "SMTProcessor(SMTConfig(isa='mmx', n_threads=2),"
+        " ConventionalHierarchy(), build_workload_traces('mmx', scale=2e-5),"
+        " completions_target=2).run()\n"
+        "layers = ('repro.obs', 'repro.verify', 'repro.analysis')\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith(layers))\n"
+        "assert not loaded, loaded\n"
+        "isa = sorted(m for m in sys.modules if m.startswith('repro.isa.'))\n"
+        "assert isa == ['repro.isa.instruction', 'repro.isa.opcodes',"
+        " 'repro.isa.registers'], isa\n"
+    )
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src)
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
+    for script in (through_runner, direct):
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_golden_requests_cover_both_hierarchies_and_sampling():

@@ -3,9 +3,9 @@
 Random instruction mixes run through the fully-observed pipeline; the
 captured per-instruction records must satisfy the invariants
 ``validate_records`` enforces — stage ordering, per-thread monotone
-fetch/commit cycles, no events after squash — and observation must never
-change timing.  Seeded-defect negatives (the ``verify`` suites' style)
-corrupt known-good record streams one invariant at a time and assert the
+fetch/commit cycles — and observation must never change timing.
+Seeded-defect negatives (the ``verify`` suites' style) corrupt
+known-good record streams one invariant at a time and assert the
 validator names the exact violation code.
 """
 
@@ -87,7 +87,7 @@ class TestEventStreamInvariants:
         assert len(parsed) == len(records)
         for original, restored in zip(records, parsed):
             for stage in ("fetch", "dispatch", "issue", "complete",
-                          "commit", "squash"):
+                          "commit"):
                 assert getattr(original, stage) == getattr(restored, stage)
 
 
@@ -159,21 +159,6 @@ def test_defect_nonmonotone_commit_order():
     records[3].dispatch = records[3].issue - 1
     records[3].fetch = records[2].fetch  # fetch order stays legal (ties ok)
     expect_violation(records, "OBS-COMMIT-ORDER")
-
-
-def test_defect_commit_after_squash():
-    records = clean_records()
-    records[1].squash = records[1].complete
-    expect_violation(records, "OBS-POST-SQUASH")
-
-
-def test_defect_event_after_squash():
-    records = clean_records()
-    records[1].commit = None
-    records[1].squash = records[1].issue
-    # complete (set above) postdates the squash cycle.
-    error = expect_violation(records, "OBS-POST-SQUASH")
-    assert error.details["stage"] == "complete"
 
 
 def test_defect_same_cycle_dispatch():

@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from repro.core import SMTConfig, SMTProcessor
-from repro.core.rob import GraduationWindow
 from repro.memory import ConventionalHierarchy, DecoupledHierarchy
 from repro.obs import (
     Counter,
@@ -82,7 +81,6 @@ def test_observed_run_is_bit_identical(isa, memory_cls):
 def test_observer_off_by_default_and_unhooked():
     processor, __ = run_observed(observe=None)
     assert processor.observer is None
-    assert processor.window.observer is None
     assert processor.memory.observer is None
     assert processor.memory.l1.mshr.observer is None
     assert processor.memory.l2.observer is None
@@ -117,7 +115,6 @@ def test_stall_counter_attaches_no_event_hook():
     processor, result = run_observed(observe="stalls")
     assert type(processor.stall_observer) is StallObserver
     assert processor.observer is None
-    assert processor.window.observer is None
     assert processor.memory.observer is None
     assert processor.memory.l2.observer is None
     assert processor.memory.l1.mshr.observer is None
@@ -166,30 +163,6 @@ def test_max_records_cap_keeps_metrics_counting():
     # Metrics keep counting past the record cap.
     assert snap["metrics"]["smt.fetch"]["instructions"]["total"] > 10
     validate_records(observer.records)
-
-
-def test_squash_hook_marks_records():
-    window = GraduationWindow(capacity=8, n_threads=1)
-    observer = PipelineObserver()
-    window.observer = observer
-
-    class Entry:
-        def __init__(self):
-            self.squashed = False
-
-    entries = [Entry(), Entry()]
-    records = []
-    for uid, entry in enumerate(entries):
-        record = InstRecord(uid, 0, 0x100 + 4 * uid, 0, 1, 5 + uid, False)
-        record.dispatch = 7 + uid
-        observer._by_entry[id(entry)] = record
-        records.append(record)
-        window.insert(0, entry)
-    window.flush_thread(0, now=12)
-    assert all(r.squash == 12 for r in records)
-    assert all(e.squashed for e in entries)
-    assert not observer._by_entry
-    validate_records(records)
 
 
 # ----- metrics registry ------------------------------------------------------
@@ -296,7 +269,6 @@ def record_fields(record):
         record.uid, record.thread, record.pc, record.op,
         record.stream_length, record.mispredicted, record.fetch,
         record.dispatch, record.issue, record.complete, record.commit,
-        record.squash,
     )
 
 
@@ -311,15 +283,14 @@ def test_ascii_round_trips_mom_8t_run():
         assert record_fields(original) == record_fields(restored)
 
 
-def test_ascii_round_trips_partial_and_squashed_records():
+def test_ascii_round_trips_partial_records():
     full = InstRecord(0, 0, 0x40, 3, 8, 10, True)
     full.dispatch, full.issue, full.complete, full.commit = 11, 13, 20, 20
     inflight = InstRecord(1, 2, 0x44, 5, 1, 12, False)
     inflight.dispatch = 14
-    squashed = InstRecord(2, 1, 0x48, 7, 1, 13, False)
-    squashed.dispatch, squashed.issue = 14, 15
-    squashed.squash = 16
-    records = [full, inflight, squashed]
+    issued = InstRecord(2, 1, 0x48, 7, 1, 13, False)
+    issued.dispatch, issued.issue = 14, 15
+    records = [full, inflight, issued]
     parsed = parse_ascii(render_ascii(records))
     for original, restored in zip(records, parsed):
         assert record_fields(original) == record_fields(restored)
